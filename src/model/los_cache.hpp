@@ -1,23 +1,24 @@
 // Per-device line-of-sight memoization for repeated power evaluations.
 //
-// The rotational sweep of Algorithm 1 re-runs the full Eq. (1) gating —
-// including the obstacle segment trace — once per (orientation, device)
-// pair, although line of sight depends only on the charger *position* and
-// the device. The same (position, device) pairs also recur across the pair
-// tasks of Algorithm 4 (a ring×ring intersection constructed for pair
-// (i, j) reappears for (i, k)) and across the strategies of a placement in
-// the exact-utility evaluation (several selected strategies often share a
-// position and differ only in orientation). LosCache memoizes the LOS
-// verdict keyed on the charger position's exact bit pattern plus the device
-// index, so every repeat is a hash lookup instead of a segment trace.
+// Line of sight depends only on the charger *position* and the device, and
+// the exact-utility evaluation re-tests the same (position, device) pairs
+// across the strategies of a placement (several selected strategies often
+// share a position and differ only in orientation); the local-search and
+// exhaustive optimizers re-evaluate overlapping placements, and the
+// arrangement generator sweeps many vertices per charger type. LosCache
+// memoizes the LOS verdict keyed on the charger position's exact bit
+// pattern plus the device index, so every repeat is a hash lookup instead
+// of a segment trace.
+//
+// PDCS extraction does not use it: the point-case sweep (pdcs::PointSweep)
+// traces each (position, device) pair once, so the memo would rarely hit
+// and its lookups would cost more than the traces they save.
 //
 // Keys use the exact double bits (not a quantized grid): two positions that
 // differ in any bit are cached separately, so cached results are
-// bit-identical to calling Scenario directly. Candidate positions are
-// already deduplicated at ~1e-6 resolution upstream (PositionSink), which
-// keeps the cache small.
+// bit-identical to calling Scenario directly.
 //
-// Not thread-safe; create one per extraction task / evaluation thread.
+// Not thread-safe; create one per evaluation thread.
 #pragma once
 
 #include <bit>

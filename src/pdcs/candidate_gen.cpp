@@ -6,6 +6,7 @@
 
 #include "src/geometry/angles.hpp"
 #include "src/geometry/circle.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/pdcs/point_case.hpp"
 #include "src/util/error.hpp"
 
@@ -252,9 +253,9 @@ std::vector<Candidate> extract_device_task(const model::Scenario& scenario,
                                            const ExtractOptions& opt) {
   std::vector<Candidate> out;
   const Vec2 oi = scenario.device(i).pos;
-  // One LOS memo for the whole task: candidate positions recur across pair
-  // constructions and the Algorithm 1 sweep re-tests LOS per orientation.
-  model::LosCache los_cache(scenario);
+  // One sweep for the whole task: it gates each position's pool once, so a
+  // line-of-sight memo would rarely hit and is not used.
+  PointSweep sweep(scenario);
 
   for (std::size_t q = 0; q < scenario.num_charger_types(); ++q) {
     const auto& ct = scenario.charger_type(q);
@@ -277,12 +278,17 @@ std::vector<Candidate> extract_device_task(const model::Scenario& scenario,
       // Pool: devices within charging range of the position (exact pool for
       // the rotational sweep; sorted by GridIndex contract).
       const auto pool = devices.query_radius(p, ct.d_max + geom::kCoverEps);
-      auto cands = extract_point_case(scenario, q, p, pool, &los_cache);
-      for (auto& c : cands) type_candidates.push_back(std::move(c));
+      sweep.run(q, p, pool, type_candidates);
     }
     auto filtered =
         filter_dominated(std::move(type_candidates), scenario.num_devices());
     for (auto& c : filtered) out.push_back(std::move(c));
+  }
+  if (obs::metrics_enabled()) [[unlikely]] {
+    static obs::Counter& swept = obs::counter("extract.point_orientations");
+    static obs::Counter& kept = obs::counter("extract.point_rows_kept");
+    swept.bump(sweep.orientations());
+    kept.bump(sweep.rows_kept());
   }
   return out;
 }
