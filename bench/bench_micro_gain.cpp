@@ -1,7 +1,7 @@
 // Gain-engine microbenchmark: the greedy argmax scan and end-to-end
-// select_strategies, swept over candidate-pool sizes across four argmax
-// variants — the legacy vector-of-vectors full rescan, the flat-CSR pooled
-// scan (the prior baseline), the dense blocked-SoA SIMD scan, and the u16
+// select_strategies, swept over candidate-pool sizes across three argmax
+// variants — the pooled scan over a candidate-index list (the baseline),
+// the dense blocked-SoA SIMD scan the greedy drivers run, and the u16
 // quantized top-k scan. The argmax timings isolate the scan: the dirty-row
 // gain refresh, identical work in every variant, runs untimed between
 // rounds. Every timed variant is also an equivalence check —
@@ -100,24 +100,17 @@ bool bits_equal(double a, double b) {
 
 struct SizeResult {
   std::size_t candidates = 0;
-  double argmax_legacy_ns = 0.0;
   double argmax_flat_ns = 0.0;
   double argmax_simd_ns = 0.0;
   double argmax_quant_ns = 0.0;
-  double e2e_legacy_s = 0.0;
   double e2e_flat_s = 0.0;
-  double argmax_speedup() const {
-    return argmax_flat_ns > 0.0 ? argmax_legacy_ns / argmax_flat_ns : 0.0;
-  }
-  /// The PR 6 acceptance ratio: pooled flat scan vs dense SIMD scan.
+  double e2e_quant_s = 0.0;
+  /// Pooled scan vs dense SIMD scan.
   double simd_speedup() const {
     return argmax_simd_ns > 0.0 ? argmax_flat_ns / argmax_simd_ns : 0.0;
   }
   double quant_speedup() const {
     return argmax_quant_ns > 0.0 ? argmax_flat_ns / argmax_quant_ns : 0.0;
-  }
-  double e2e_speedup() const {
-    return e2e_flat_s > 0.0 ? e2e_legacy_s / e2e_flat_s : 0.0;
   }
   /// Candidate rows streamed per second by the dense scan (each round
   /// visits the full lane, so rows/round = pool size).
@@ -134,32 +127,28 @@ struct SizeResult {
   }
 };
 
-/// Times `rounds` greedy argmax scans on one pooled engine. The timed
-/// region is the scan alone: the dirty-row gain refresh — identical work in
-/// every variant — runs *untimed* before each scan (a no-op under kLegacy,
-/// whose scan is a full rescan by design), so argmax_*_ns compares the
-/// argmax machinery the variants actually differ in, not the shared gain
-/// arithmetic. Picks are recorded so the caller can assert all variants
-/// select the identical sequence. Matroid-free on purpose.
-double time_argmax_rounds(const model::Scenario& scenario,
-                          std::span<const pdcs::Candidate> pool,
-                          opt::GainEngine engine, int rounds,
+/// Times `rounds` pooled argmax scans (State::best_gain over an index
+/// list). The timed region is the scan alone: the dirty-row gain refresh —
+/// identical work in every variant — runs *untimed* before each scan, so
+/// argmax_*_ns compares the argmax machinery the variants actually differ
+/// in, not the shared gain arithmetic. Picks are recorded so the caller
+/// can assert all variants select the identical sequence. Matroid-free on
+/// purpose.
+double time_pooled_rounds(const model::Scenario& scenario,
+                          std::span<const pdcs::Candidate> pool, int rounds,
                           std::vector<std::size_t>& picks_out) {
-  const opt::ChargingObjective objective(scenario, pool,
-                                         opt::ObjectiveKind::kUtility, engine);
+  const opt::ChargingObjective objective(scenario, pool);
   std::vector<std::size_t> ids(pool.size());
   std::iota(ids.begin(), ids.end(), std::size_t{0});
   std::vector<bool> taken(pool.size(), false);
   picks_out.clear();
 
   opt::ChargingObjective::State state(objective);
-  state.enable_incremental();  // no-op under kLegacy
+  state.enable_incremental();
   double total = 0.0;
   for (int r = 0; r < rounds; ++r) {
-    if (state.incremental()) {
-      for (std::size_t i = 0; i < pool.size(); ++i) {
-        if (!taken[i]) (void)state.gain(i);  // untimed refresh
-      }
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      if (!taken[i]) (void)state.gain(i);  // untimed refresh
     }
     obs::Stopwatch t;
     const opt::BestGain best = state.best_gain(ids, 0, ids.size(), taken);
@@ -180,9 +169,7 @@ double time_argmax_rounds(const model::Scenario& scenario,
 double time_dense_rounds(const model::Scenario& scenario,
                          std::span<const pdcs::Candidate> pool, bool quantize,
                          int rounds, std::vector<std::size_t>& picks_out) {
-  const opt::ChargingObjective objective(scenario, pool,
-                                         opt::ObjectiveKind::kUtility,
-                                         opt::GainEngine::kFlatCsr);
+  const opt::ChargingObjective objective(scenario, pool);
   picks_out.clear();
 
   opt::ChargingObjective::State state(objective);
@@ -211,57 +198,50 @@ SizeResult run_size(const model::Scenario& scenario,
   SizeResult out;
   out.candidates = pool.size();
 
-  std::vector<std::size_t> picks_legacy, picks_flat, picks_simd, picks_quant;
-  double legacy_best = 0.0, flat_best = 0.0, simd_best = 0.0, quant_best = 0.0;
+  std::vector<std::size_t> picks_flat, picks_simd, picks_quant;
+  double flat_best = 0.0, simd_best = 0.0, quant_best = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
-    const double legacy_s = time_argmax_rounds(
-        scenario, pool, opt::GainEngine::kLegacy, rounds, picks_legacy);
-    const double flat_s = time_argmax_rounds(
-        scenario, pool, opt::GainEngine::kFlatCsr, rounds, picks_flat);
+    const double flat_s =
+        time_pooled_rounds(scenario, pool, rounds, picks_flat);
     const double simd_s =
         time_dense_rounds(scenario, pool, /*quantize=*/false, rounds,
                           picks_simd);
     const double quant_s =
         time_dense_rounds(scenario, pool, /*quantize=*/true, rounds,
                           picks_quant);
-    HIPO_REQUIRE(picks_legacy == picks_flat && picks_flat == picks_simd &&
-                     picks_simd == picks_quant,
+    HIPO_REQUIRE(picks_flat == picks_simd && picks_simd == picks_quant,
                  "argmax pick sequence differs between variants");
-    if (rep == 0 || legacy_s < legacy_best) legacy_best = legacy_s;
     if (rep == 0 || flat_s < flat_best) flat_best = flat_s;
     if (rep == 0 || simd_s < simd_best) simd_best = simd_s;
     if (rep == 0 || quant_s < quant_best) quant_best = quant_s;
   }
   const double rounds_run = static_cast<double>(picks_flat.size());
   HIPO_REQUIRE(rounds_run > 0, "argmax loop selected nothing");
-  out.argmax_legacy_ns = legacy_best / rounds_run * 1e9;
   out.argmax_flat_ns = flat_best / rounds_run * 1e9;
   out.argmax_simd_ns = simd_best / rounds_run * 1e9;
   out.argmax_quant_ns = quant_best / rounds_run * 1e9;
 
-  opt::GreedyResult legacy, flat;
-  legacy_best = flat_best = 0.0;
+  opt::GreedyResult flat, quant;
+  flat_best = quant_best = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
     obs::Stopwatch t;
-    legacy = opt::select_strategies(scenario, pool, opt::GreedyMode::kGlobal,
-                                    opt::ObjectiveKind::kUtility, nullptr,
-                                    opt::GainEngine::kLegacy);
-    const double legacy_s = t.seconds();
-    t.reset();
-    flat = opt::select_strategies(scenario, pool, opt::GreedyMode::kGlobal,
-                                  opt::ObjectiveKind::kUtility, nullptr,
-                                  opt::GainEngine::kFlatCsr);
+    flat = opt::select_strategies(scenario, pool, opt::GreedyMode::kGlobal);
     const double flat_s = t.seconds();
-    HIPO_REQUIRE(legacy.selected == flat.selected,
-                 "selected indices differ between engines");
-    HIPO_REQUIRE(bits_equal(legacy.approx_utility, flat.approx_utility) &&
-                     bits_equal(legacy.exact_utility, flat.exact_utility),
-                 "utilities not bit-identical between engines");
-    if (rep == 0 || legacy_s < legacy_best) legacy_best = legacy_s;
+    t.reset();
+    quant = opt::select_strategies(scenario, pool, opt::GreedyMode::kGlobal,
+                                   opt::ObjectiveKind::kUtility, nullptr,
+                                   /*quantize=*/true);
+    const double quant_s = t.seconds();
+    HIPO_REQUIRE(flat.selected == quant.selected,
+                 "selected indices differ with the quantized shortlist");
+    HIPO_REQUIRE(bits_equal(flat.approx_utility, quant.approx_utility) &&
+                     bits_equal(flat.exact_utility, quant.exact_utility),
+                 "utilities not bit-identical with the quantized shortlist");
     if (rep == 0 || flat_s < flat_best) flat_best = flat_s;
+    if (rep == 0 || quant_s < quant_best) quant_best = quant_s;
   }
-  out.e2e_legacy_s = legacy_best;
   out.e2e_flat_s = flat_best;
+  out.e2e_quant_s = quant_best;
   return out;
 }
 
@@ -331,9 +311,9 @@ int main(int argc, char** argv) {
       make_scenario(static_cast<std::size_t>(devices), rng);
 
   std::vector<SizeResult> results;
-  Table table({"candidates", "legacy ns", "flat ns", "simd ns", "quant ns",
+  Table table({"candidates", "pooled ns", "simd ns", "quant ns",
                "simd speedup", "quant speedup", "simd GB/s", "quant GB/s",
-               "e2e legacy s", "e2e flat s"});
+               "e2e s", "e2e quant s"});
   for (int n : {1024, 8192, 32768}) {
     if (n > max_size) continue;
     Rng pool_rng(seed_combine(seed, static_cast<std::uint64_t>(n)));
@@ -343,7 +323,6 @@ int main(int argc, char** argv) {
     const SizeResult& r = results.back();
     table.row()
         .add(n)
-        .add(fmt(r.argmax_legacy_ns))
         .add(fmt(r.argmax_flat_ns))
         .add(fmt(r.argmax_simd_ns))
         .add(fmt(r.argmax_quant_ns))
@@ -351,8 +330,8 @@ int main(int argc, char** argv) {
         .add(fmt(r.quant_speedup()))
         .add(fmt(r.simd_gbps()))
         .add(fmt(r.quant_gbps()))
-        .add(fmt(r.e2e_legacy_s))
-        .add(fmt(r.e2e_flat_s));
+        .add(fmt(r.e2e_flat_s))
+        .add(fmt(r.e2e_quant_s));
   }
   HIPO_REQUIRE(!results.empty(), "max-size excluded every pool size");
   table.print(std::cout);
@@ -381,19 +360,16 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     const SizeResult& r = results[i];
     json << "    {\"candidates\": " << r.candidates
-         << ", \"argmax_legacy_ns\": " << r.argmax_legacy_ns
          << ", \"argmax_flat_ns\": " << r.argmax_flat_ns
          << ", \"argmax_simd_ns\": " << r.argmax_simd_ns
          << ", \"argmax_quant_ns\": " << r.argmax_quant_ns
-         << ", \"argmax_speedup\": " << r.argmax_speedup()
          << ", \"simd_speedup\": " << r.simd_speedup()
          << ", \"quant_speedup\": " << r.quant_speedup()
          << ", \"simd_rows_per_s\": " << r.rows_per_s(r.argmax_simd_ns)
          << ", \"simd_gbps\": " << r.simd_gbps()
          << ", \"quant_gbps\": " << r.quant_gbps()
-         << ", \"e2e_legacy_s\": " << r.e2e_legacy_s
          << ", \"e2e_flat_s\": " << r.e2e_flat_s
-         << ", \"e2e_speedup\": " << r.e2e_speedup() << "}"
+         << ", \"e2e_quant_s\": " << r.e2e_quant_s << "}"
          << (i + 1 < results.size() ? "," : "") << "\n";
   }
   // Hard-coded true is honest: every timed variant above HIPO_REQUIREs

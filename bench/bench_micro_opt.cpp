@@ -10,11 +10,9 @@
 // sets repetitions per point (best-of).
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -179,48 +177,13 @@ BENCHMARK(BM_LptSchedule)->Arg(64)->Arg(1024);
 struct SpeedupPoint {
   int threads = 0;
   double seconds = 0.0;
-  double simulated_speedup = 1.0;
 };
-
-/// Per-chunk durations of one full argmax sweep (the unit every greedy
-/// round hands to the pool): time each fixed grain-128 chunk of
-/// `State::best_gain` individually, best-of-`reps`. The chunking matches
-/// `opt::select_strategies` exactly, so LPT over these durations is the
-/// same simulated-machines substitution the Fig. 12 harness uses for
-/// Algorithm 5 (see DESIGN.md) — it predicts the m-worker makespan on
-/// hardware this container may not have.
-std::vector<double> argmax_chunk_durations(
-    const model::Scenario& scenario,
-    const std::vector<pdcs::Candidate>& candidates, int reps) {
-  const opt::ChargingObjective objective(scenario, candidates);
-  opt::ChargingObjective::State state(objective);
-  std::vector<std::size_t> pool_indices(candidates.size());
-  std::iota(pool_indices.begin(), pool_indices.end(), std::size_t{0});
-  const std::vector<bool> taken(candidates.size(), false);
-
-  constexpr std::size_t kGrain = 128;  // == opt::kArgmaxGrain
-  const std::size_t chunks = (candidates.size() + kGrain - 1) / kGrain;
-  std::vector<double> durations(chunks, 0.0);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * kGrain;
-    const std::size_t end = std::min(candidates.size(), begin + kGrain);
-    for (int rep = 0; rep < reps; ++rep) {
-      obs::Stopwatch timer;
-      benchmark::DoNotOptimize(
-          state.best_gain(pool_indices, begin, end, taken));
-      const double elapsed = timer.seconds();
-      if (rep == 0 || elapsed < durations[c]) durations[c] = elapsed;
-    }
-  }
-  return durations;
-}
 
 /// Times greedy selection (global argmax mode) at several pool sizes on one
 /// big instance, requiring the selections to be identical, and writes the
 /// JSON record the acceptance gate reads (BENCH_parallel.json). Records the
-/// measured wall-clock speedup (meaningful only when the host has that many
-/// cores — `cores` is in the JSON) alongside the chunk-level LPT-simulated
-/// speedup, which is hardware-independent.
+/// measured wall-clock speedup, meaningful only up to the host's core count
+/// (`cores` is in the JSON).
 int run_parallel_speedup(const std::string& out_path, int device_multiplier,
                          int reps) {
   // Metrics ride along (embedded in the JSON for provenance); they never
@@ -232,11 +195,6 @@ int run_parallel_speedup(const std::string& out_path, int device_multiplier,
   std::cout << "parallel speedup: " << fixture.scenario.num_devices()
             << " devices, " << candidates.size() << " candidates, " << cores
             << " cores\n";
-
-  const auto chunk_durations =
-      argmax_chunk_durations(fixture.scenario, candidates, reps);
-  const double sweep_seconds =
-      std::accumulate(chunk_durations.begin(), chunk_durations.end(), 0.0);
 
   std::vector<SpeedupPoint> points;
   double reference_utility = 0.0;
@@ -258,15 +216,9 @@ int run_parallel_speedup(const std::string& out_path, int device_multiplier,
     } else if (result.exact_utility != reference_utility) {
       identical = false;
     }
-    const double makespan =
-        parallel::lpt_schedule(chunk_durations,
-                               static_cast<std::size_t>(threads))
-            .makespan;
-    const double simulated = makespan > 0.0 ? sweep_seconds / makespan : 1.0;
-    points.push_back({threads, best, simulated});
-    std::printf("  threads=%d  %8.2f ms  (measured %.2fx, simulated %.2fx)\n",
-                threads, best * 1e3, points.front().seconds / best,
-                simulated);
+    points.push_back({threads, best});
+    std::printf("  threads=%d  %8.2f ms  (%.2fx)\n", threads, best * 1e3,
+                points.front().seconds / best);
   }
   if (!identical) {
     std::cerr << "ERROR: utility differs across thread counts\n";
@@ -282,13 +234,11 @@ int run_parallel_speedup(const std::string& out_path, int device_multiplier,
        << obs::build_info_json() << ",\n  \"cores\": " << cores
        << ",\n  \"devices\": " << fixture.scenario.num_devices()
        << ",\n  \"candidates\": " << candidates.size()
-       << ",\n  \"argmax_chunks\": " << chunk_durations.size()
        << ",\n  \"greedy_global\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     json << "    {\"threads\": " << points[i].threads
          << ", \"seconds\": " << points[i].seconds << ", \"speedup\": "
-         << points.front().seconds / points[i].seconds
-         << ", \"simulated_speedup\": " << points[i].simulated_speedup << "}"
+         << points.front().seconds / points[i].seconds << "}"
          << (i + 1 < points.size() ? "," : "") << "\n";
   }
   json << "  ],\n  \"utilities_identical\": true,\n  \"peak_rss_bytes\": "

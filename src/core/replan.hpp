@@ -22,9 +22,8 @@ struct ReplanOptions {
 
 /// Translate SolveOptions into the delta equivalent so a session can be
 /// compared 1:1 against cold core::solve runs. Throws ConfigError for
-/// option combinations with no incremental path: local search (its exchange
-/// moves have no warm formulation) and the legacy gain engine (the delta
-/// patch layer is defined over the flat CSR matrix).
+/// local search, the one option with no incremental path (its exchange
+/// moves have no warm formulation).
 ReplanOptions replan_options(const SolveOptions& solve);
 
 struct ReplanResult {

@@ -20,12 +20,6 @@ struct SolveOptions {
   /// Post-greedy matroid-exchange local search (never worse; tightens the
   /// solution toward the 1 − 1/e quality the paper mentions via [39]).
   bool local_search = false;
-  /// Gain-evaluation engine for selection and local search. kFlatCsr packs
-  /// the filtered candidates into an opt::CoverageMatrix (flat arenas +
-  /// inverted device index) and runs the incremental dirty-gain greedy;
-  /// kLegacy is the per-candidate full-rescan baseline. Placements are
-  /// bit-identical either way (ctest-asserted).
-  opt::GainEngine gain_engine = opt::GainEngine::kFlatCsr;
   /// u16 quantized top-k shortlist inside the dense greedy argmax (per-type
   /// and global modes; the lazy heap has no dense scan). Pure bandwidth
   /// optimization — the exact recheck keeps placements bit-identical.

@@ -638,46 +638,50 @@ std::optional<Violation> check_simd_identity(const Scenario& scenario,
   const bool have_avx2 =
       opt::simd::avx2_compiled() && opt::simd::cpu_has_avx2();
 
+  // Scalar global-mode baselines per objective kind, for the lazy cross-check.
+  opt::GreedyResult global_base[2];
   for (const auto mode : {opt::GreedyMode::kPerType, opt::GreedyMode::kGlobal,
                           opt::GreedyMode::kLazyGlobal}) {
     for (const auto kind :
          {opt::ObjectiveKind::kUtility, opt::ObjectiveKind::kLogUtility}) {
       opt::simd::force_isa(opt::simd::Isa::kScalar);
       const auto base = opt::select_strategies(scenario, cands, mode, kind);
+      const char* mode_name =
+          mode == opt::GreedyMode::kPerType   ? "per-type"
+          : mode == opt::GreedyMode::kGlobal ? "global"
+                                             : "lazy-global";
+      const char* kind_name =
+          kind == opt::ObjectiveKind::kUtility ? "utility" : "log-utility";
+      const std::size_t k = kind == opt::ObjectiveKind::kUtility ? 0 : 1;
+      if (mode == opt::GreedyMode::kGlobal) global_base[k] = base;
+      if (mode == opt::GreedyMode::kLazyGlobal &&
+          (base.selected != global_base[k].selected ||
+           utility_bits(base.approx_utility) !=
+               utility_bits(global_base[k].approx_utility))) {
+        return fail("simd", std::string("scalar lazy-global selection differs "
+                                        "from scalar global (kind ") +
+                                kind_name + ")");
+      }
 
-      // Variants that must match the scalar flat non-quantized baseline
-      // bit for bit: quantized dense argmax, the legacy engine, and (when
-      // available) the same trio on the AVX2 kernels.
+      // Variants that must match the scalar non-quantized baseline bit for
+      // bit: quantized dense argmax and (when available) the AVX2 kernels
+      // with and without quantization.
       struct Variant {
         const char* name;
         opt::simd::Isa isa;
-        opt::GainEngine engine;
         bool quantize;
       };
       std::vector<Variant> variants{
-          {"scalar+quantize", opt::simd::Isa::kScalar,
-           opt::GainEngine::kFlatCsr, true},
-          {"scalar legacy", opt::simd::Isa::kScalar, opt::GainEngine::kLegacy,
-           false},
+          {"scalar+quantize", opt::simd::Isa::kScalar, true},
       };
       if (have_avx2) {
-        variants.push_back({"avx2", opt::simd::Isa::kAvx2,
-                            opt::GainEngine::kFlatCsr, false});
-        variants.push_back({"avx2+quantize", opt::simd::Isa::kAvx2,
-                            opt::GainEngine::kFlatCsr, true});
-        variants.push_back({"avx2 legacy", opt::simd::Isa::kAvx2,
-                            opt::GainEngine::kLegacy, false});
+        variants.push_back({"avx2", opt::simd::Isa::kAvx2, false});
+        variants.push_back({"avx2+quantize", opt::simd::Isa::kAvx2, true});
       }
       for (const Variant& v : variants) {
         opt::simd::force_isa(v.isa);
         const auto run = opt::select_strategies(scenario, cands, mode, kind,
-                                                nullptr, v.engine, v.quantize);
-        const char* mode_name =
-            mode == opt::GreedyMode::kPerType   ? "per-type"
-            : mode == opt::GreedyMode::kGlobal ? "global"
-                                               : "lazy-global";
-        const char* kind_name =
-            kind == opt::ObjectiveKind::kUtility ? "utility" : "log-utility";
+                                                nullptr, v.quantize);
         if (run.selected != base.selected) {
           return fail("simd", std::string(v.name) + " selection differs from "
                                   "scalar baseline (mode " +

@@ -69,9 +69,10 @@ std::optional<Violation> check_determinism(const model::Scenario& scenario,
 
 /// (6) Gain-kernel dispatch identity: greedy selections and utilities must
 /// be bit-identical across forced scalar vs. AVX2 kernels (when compiled
-/// and supported), quantized vs. plain dense argmax, and flat vs. legacy
-/// engine, for every greedy mode and objective kind. Restores the
-/// previously active ISA on exit.
+/// and supported) and quantized vs. plain dense argmax, for every greedy
+/// mode and objective kind; the lazy-global selection must also equal the
+/// eager global one under both kinds. Restores the previously active ISA
+/// on exit.
 std::optional<Violation> check_simd_identity(const model::Scenario& scenario,
                                              std::uint64_t seed);
 

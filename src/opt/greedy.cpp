@@ -1,7 +1,6 @@
 #include "src/opt/greedy.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <queue>
 
 #include "src/model/los_cache.hpp"
@@ -42,17 +41,12 @@ PartitionMatroid placement_matroid(const model::Scenario& scenario,
 
 namespace {
 
-/// Chunk size of the parallel argmax. Fixed (worker-count independent) so
-/// the chunked reduction is deterministic; small enough that a few thousand
-/// candidates split into enough chunks to balance 4–16 workers.
-constexpr std::size_t kArgmaxGrain = 128;
-
-/// Chunk size of the dense (SIMD-kernel) argmax. Larger than kArgmaxGrain:
-/// a dense chunk is a straight-line vector scan over contiguous lanes, so
-/// per-chunk dispatch overhead matters more and per-row cost matters less.
-/// Fixed for the same determinism reason — though the dense reduction's
-/// winner is chunking-invariant anyway (exact compares, lowest index wins
-/// across any chunk boundary).
+/// Chunk size of the dense (SIMD-kernel) argmax: a chunk is a
+/// straight-line vector scan over contiguous lanes, so per-chunk dispatch
+/// overhead matters more than per-row cost. Fixed (worker-count
+/// independent) for determinism — though the dense reduction's winner is
+/// chunking-invariant anyway (exact compares, lowest index wins across any
+/// chunk boundary).
 constexpr std::size_t kDenseGrain = 1024;
 
 /// Marginal-gain buckets: the utility objective is normalized to [0, 1], so
@@ -70,26 +64,12 @@ void note_selection(double gain) {
   }
 }
 
-/// One pass of Algorithm 3's inner argmax over a candidate pool: per-chunk
-/// sequential scans (State::best_gain) reduced in chunk order with the same
-/// exact strict comparison (ties → lower index), so the winner is identical
-/// for any worker count — and for the lazy variant's heap order.
-BestGain best_gain(const ChargingObjective::State& state,
-                   std::span<const std::size_t> pool,
-                   const std::vector<bool>& taken,
-                   parallel::ThreadPool* workers) {
-  return parallel::chunked_reduce(
-      workers, pool.size(), BestGain{},
-      [&](std::size_t begin, std::size_t end) {
-        return state.best_gain(pool, begin, end, taken);
-      },
-      [](BestGain a, BestGain b) { return better_gain(a, b); }, kArgmaxGrain);
-}
-
-/// Dense variant: blocked SoA scan over every candidate row, eligibility
-/// filtering instead of pool indirection. Used whenever incremental
-/// tracking is on (the flat engine); the pooled scan remains the legacy
-/// engine's path and the A/B baseline the benchmarks compare against.
+/// One pass of Algorithm 3's inner argmax: blocked SoA scan over every
+/// candidate row, eligibility filtering instead of pool indirection.
+/// Per-chunk scans are reduced in chunk order with the exact strict
+/// comparison (ties → lower index), so the winner is identical for any
+/// worker count — and for the lazy variant's heap order. With no rows the
+/// reduction never calls the map and returns "nothing found".
 BestGain best_gain_dense(const ChargingObjective::State& state,
                          std::size_t num_candidates,
                          parallel::ThreadPool* workers) {
@@ -126,36 +106,19 @@ GreedyResult greedy_per_type(const model::Scenario& scenario,
   ChargingObjective::State state(objective);
   state.enable_incremental(quantize);
   GreedyResult result;
-  std::vector<bool> taken(n, false);
 
   for (std::size_t q = 0; q < scenario.num_charger_types(); ++q) {
-    if (state.incremental()) {
-      // Dense path: one eligibility reset per type phase replaces the
-      // per-phase pool build — the argmax then scans contiguous lanes.
-      for (std::size_t i = 0; i < n; ++i) {
-        state.set_eligible(i, objective.strategy(i).type == q && !taken[i]);
-      }
-      const auto budget = static_cast<std::size_t>(scenario.charger_count(q));
-      for (std::size_t pick = 0; pick < budget; ++pick) {
-        const BestGain best = best_gain_dense(state, n, workers);
-        if (!best.found()) break;  // nothing left with positive gain
-        taken[best.index] = true;
-        state.mark_ineligible(best.index);
-        state.add(best.index);
-        result.selected.push_back(best.index);
-        note_selection(best.gain);
-      }
-      continue;
-    }
-    std::vector<std::size_t> pool;
+    // One eligibility reset per type phase: the argmax then scans
+    // contiguous lanes restricted to type q. No type-q row can have been
+    // picked in an earlier phase, so the reset never re-admits a pick.
     for (std::size_t i = 0; i < n; ++i) {
-      if (objective.strategy(i).type == q) pool.push_back(i);
+      state.set_eligible(i, objective.strategy(i).type == q);
     }
     const auto budget = static_cast<std::size_t>(scenario.charger_count(q));
     for (std::size_t pick = 0; pick < budget; ++pick) {
-      const BestGain best = best_gain(state, pool, taken, workers);
+      const BestGain best = best_gain_dense(state, n, workers);
       if (!best.found()) break;  // nothing left with positive gain
-      taken[best.index] = true;
+      state.mark_ineligible(best.index);
       state.add(best.index);
       result.selected.push_back(best.index);
       note_selection(best.gain);
@@ -171,31 +134,22 @@ GreedyResult greedy_global(const model::Scenario& scenario,
   const std::size_t n = objective.num_candidates();
   ChargingObjective::State state(objective);
   state.enable_incremental(quantize);
-  const bool dense = state.incremental();
   const PartitionMatroid matroid = placement_matroid(scenario, objective);
   PartitionMatroid::Tracker tracker(matroid);
   GreedyResult result;
-  // `taken` also covers matroid-infeasible candidates: when a part fills
-  // up, all its remaining candidates are marked, keeping the scan filter a
-  // single flag test. Candidates of zero-budget parts are infeasible from
-  // the start — without this pre-marking the argmax could pick one and trip
-  // the tracker's capacity assertion before any retirement pass ran.
-  // Under the dense path the eligibility lane mirrors `taken` exactly.
-  std::vector<bool> taken(n, false);
+  // The eligibility lane also covers matroid-infeasible candidates: when a
+  // part fills up, all its remaining candidates are retired, keeping the
+  // scan filter a single flag test. Candidates of zero-budget parts are
+  // infeasible from the start — without this pre-marking the argmax could
+  // pick one and trip the tracker's capacity assertion before any
+  // retirement pass ran.
   for (std::size_t i = 0; i < n; ++i) {
-    if (!tracker.can_add(i)) {
-      taken[i] = true;
-      state.mark_ineligible(i);
-    }
+    if (!tracker.can_add(i)) state.mark_ineligible(i);
   }
-  std::vector<std::size_t> all(n);
-  std::iota(all.begin(), all.end(), std::size_t{0});
 
   while (!tracker.saturated()) {
-    const BestGain best = dense ? best_gain_dense(state, n, workers)
-                                : best_gain(state, all, taken, workers);
+    const BestGain best = best_gain_dense(state, n, workers);
     if (!best.found()) break;
-    taken[best.index] = true;
     state.mark_ineligible(best.index);
     tracker.add(best.index);
     state.add(best.index);
@@ -204,10 +158,7 @@ GreedyResult greedy_global(const model::Scenario& scenario,
     if (!tracker.can_add(best.index)) {  // part now full: retire its peers
       const std::size_t part = matroid.part_of(best.index);
       for (std::size_t i = 0; i < n; ++i) {
-        if (matroid.part_of(i) == part) {
-          taken[i] = true;
-          state.mark_ineligible(i);
-        }
+        if (matroid.part_of(i) == part) state.mark_ineligible(i);
       }
     }
   }
@@ -319,9 +270,8 @@ GreedyResult run_greedy(const model::Scenario& scenario,
 GreedyResult select_strategies(const model::Scenario& scenario,
                                std::span<const pdcs::Candidate> candidates,
                                GreedyMode mode, ObjectiveKind kind,
-                               parallel::ThreadPool* workers,
-                               GainEngine engine, bool quantize) {
-  const ChargingObjective objective(scenario, candidates, kind, engine);
+                               parallel::ThreadPool* workers, bool quantize) {
+  const ChargingObjective objective(scenario, candidates, kind);
   return run_greedy(scenario, objective, mode, workers, quantize);
 }
 

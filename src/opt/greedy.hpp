@@ -43,9 +43,9 @@ PartitionMatroid placement_matroid(const model::Scenario& scenario,
                                    std::span<const pdcs::Candidate> candidates);
 
 /// Same matroid, read off an objective's row metadata (the CSR strategy
-/// arena under kFlatCsr) instead of the candidate structs. Identical
-/// output; this is what the greedy drivers use so the selection loop never
-/// touches the vector-of-vectors representation.
+/// arena) instead of the candidate structs. Identical output; this is what
+/// the greedy drivers use so the selection loop never touches the
+/// vector-of-vectors representation.
 PartitionMatroid placement_matroid(const model::Scenario& scenario,
                                    const ChargingObjective& objective);
 
@@ -56,21 +56,20 @@ PartitionMatroid placement_matroid(const model::Scenario& scenario,
 /// given, the per-round argmax, the lazy heap build, and the exact-utility
 /// evaluation run on the pool; the chunked deterministic reduction makes
 /// the result bit-identical for any worker count (including none).
-/// `engine` picks the gain-evaluation storage: kFlatCsr (default) packs the
-/// pool into a CoverageMatrix and runs the dirty-gain incremental argmax on
-/// the SIMD-dispatched dense kernels, kLegacy is the vector-of-vectors full
-/// rescan. Both return bit-identical results — every engine routes each
-/// row's gain through one canonical kernel expression and fold order
-/// (ctest-asserted); kLegacy exists as the A/B baseline. `quantize` turns
-/// on the u16 quantized top-k shortlist inside the dense argmax (per-type
-/// and global modes; the lazy heap has no dense scan): a bandwidth
-/// optimization whose exact-recheck keeps placements bit-identical too.
+/// The pool is packed into a CoverageMatrix and every mode runs on the
+/// dirty-gain incremental state: per-type and global modes argmax with the
+/// SIMD-dispatched dense kernels, the lazy mode with a heap. Each row's
+/// gain goes through one canonical kernel expression and fold order, so
+/// results are bit-identical across ISAs (ctest-asserted). `quantize`
+/// turns on the u16 quantized top-k shortlist inside the dense argmax
+/// (per-type and global modes; the lazy heap has no dense scan): a
+/// bandwidth optimization whose exact-recheck keeps placements
+/// bit-identical too. An empty pool yields an empty placement.
 GreedyResult select_strategies(const model::Scenario& scenario,
                                std::span<const pdcs::Candidate> candidates,
                                GreedyMode mode = GreedyMode::kPerType,
                                ObjectiveKind kind = ObjectiveKind::kUtility,
                                parallel::ThreadPool* workers = nullptr,
-                               GainEngine engine = GainEngine::kFlatCsr,
                                bool quantize = false);
 
 /// Warm-matrix overload (the delta path): run the same greedy drivers over

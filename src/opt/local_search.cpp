@@ -24,8 +24,7 @@ LocalSearchResult local_search_improve(
     std::span<const pdcs::Candidate> candidates, const GreedyResult& start,
     ObjectiveKind kind, const LocalSearchOptions& options) {
   HIPO_REQUIRE(options.max_rounds >= 0, "max_rounds must be >= 0");
-  const ChargingObjective objective(scenario, candidates, kind,
-                                    options.engine);
+  const ChargingObjective objective(scenario, candidates, kind);
 
   LocalSearchResult out;
   out.result = start;

@@ -12,14 +12,12 @@ namespace hipo::opt {
 
 ChargingObjective::ChargingObjective(
     const model::Scenario& scenario,
-    std::span<const pdcs::Candidate> candidates, ObjectiveKind kind,
-    GainEngine engine)
-    : scenario_(&scenario), candidates_(candidates), kind_(kind) {
-  if (engine == GainEngine::kFlatCsr) {
-    matrix_ =
-        std::make_unique<CoverageMatrix>(candidates, scenario.num_devices());
-    mat_ = matrix_.get();
-  }
+    std::span<const pdcs::Candidate> candidates, ObjectiveKind kind)
+    : scenario_(&scenario),
+      matrix_(std::make_unique<CoverageMatrix>(candidates,
+                                               scenario.num_devices())),
+      mat_(matrix_.get()),
+      kind_(kind) {
   init_device_caches(scenario);
 }
 
@@ -45,17 +43,9 @@ void ChargingObjective::init_device_caches(const model::Scenario& scenario) {
   }
 }
 
-const pdcs::Candidate& ChargingObjective::candidate(std::size_t i) const {
-  HIPO_ASSERT(i < candidates_.size());
-  return candidates_[i];
-}
-
 const model::Strategy& ChargingObjective::strategy(std::size_t i) const {
-  if (mat_) {
-    HIPO_ASSERT(i < mat_->num_rows());
-    return mat_->strategy(i);
-  }
-  return candidate(i).strategy;
+  HIPO_ASSERT(i < mat_->num_rows());
+  return mat_->strategy(i);
 }
 
 double ChargingObjective::value(std::span<const std::size_t> selected) const {
@@ -68,7 +58,7 @@ ChargingObjective::State::State(const ChargingObjective& objective)
     : objective_(&objective), power_(objective.p_th_.size(), 0.0) {}
 
 void ChargingObjective::State::enable_incremental(bool quantize) {
-  if (objective_->mat_ == nullptr || !dirty_.empty()) return;
+  if (!dirty_.empty()) return;
   const std::size_t n = objective_->num_candidates();
   if (n == 0) return;
   cached_gain_.assign(n, 0.0);
@@ -105,36 +95,21 @@ double ChargingObjective::State::recompute_gain(std::size_t i) const {
   // Early-outs ahead of any candidate lookup: a device-free scenario has no
   // utility to gain, and a zero total weight would divide by zero below.
   if (o.p_th_.empty() || o.weight_total_ <= 0.0) return 0.0;
-  // Every engine (flat and legacy) routes through the same dispatched
-  // kernel table, which guarantees one canonical expression and fold order
-  // per row — the source of the flat ≡ legacy ≡ scalar ≡ AVX2 bit-identity.
+  // Every evaluation routes through the dispatched kernel table, which
+  // guarantees one canonical expression and fold order per row — the
+  // source of the scalar ≡ AVX2 bit-identity.
   const simd::GainKernels& k = simd::kernels();
-  const bool utility = o.kind_ == ObjectiveKind::kUtility;
-  double delta = 0.0;
-  if (o.mat_) {
-    HIPO_ASSERT(i < o.mat_->num_rows());
-    const auto covered = o.mat_->covered(i);
-    const auto powers = o.mat_->powers(i);
-    delta = utility
-                ? k.row_gain_utility_u32(covered.data(), powers.data(),
-                                         covered.size(), power_.data(),
-                                         o.p_th_.data(),
-                                         o.weight_over_pth_.data())
-                : k.row_gain_log_u32(covered.data(), powers.data(),
-                                     covered.size(), power_.data(),
-                                     o.p_th_.data(), o.weight_.data());
-  } else {
-    const auto& cand = o.candidate(i);
-    delta = utility
-                ? k.row_gain_utility_u64(cand.covered.data(),
-                                         cand.powers.data(),
-                                         cand.covered.size(), power_.data(),
-                                         o.p_th_.data(),
-                                         o.weight_over_pth_.data())
-                : k.row_gain_log_u64(cand.covered.data(), cand.powers.data(),
-                                     cand.covered.size(), power_.data(),
-                                     o.p_th_.data(), o.weight_.data());
-  }
+  HIPO_ASSERT(i < o.mat_->num_rows());
+  const auto covered = o.mat_->covered(i);
+  const auto powers = o.mat_->powers(i);
+  const double delta =
+      o.kind_ == ObjectiveKind::kUtility
+          ? k.row_gain_utility_u32(covered.data(), powers.data(),
+                                   covered.size(), power_.data(),
+                                   o.p_th_.data(), o.weight_over_pth_.data())
+          : k.row_gain_log_u32(covered.data(), powers.data(), covered.size(),
+                               power_.data(), o.p_th_.data(),
+                               o.weight_.data());
   return delta / o.weight_total_;
 }
 
@@ -288,27 +263,20 @@ BestGain ChargingObjective::State::best_gain_dense(std::size_t begin,
 
 void ChargingObjective::State::add(std::size_t i) {
   value_ += gain(i);
-  const ChargingObjective& o = *objective_;
-  if (o.mat_) {
-    HIPO_ASSERT(i < o.mat_->num_rows());
-    const auto covered = o.mat_->covered(i);
-    const auto powers = o.mat_->powers(i);
-    for (std::size_t k = 0; k < covered.size(); ++k) {
-      power_[covered[k]] += powers[k];
-    }
-    if (!dirty_.empty()) {
-      // Dirty propagation: only rows sharing a covered device with i can
-      // see a different marginal gain — exactly the union of the inverted
-      // index's lists for i's devices. Everything else keeps its cached
-      // gain, bit-identical to a fresh recomputation.
-      for (std::uint32_t j : covered) {
-        for (std::uint32_t r : o.mat_->rows_covering(j)) dirty_[r] = 1;
-      }
-    }
-  } else {
-    const auto& cand = o.candidate(i);
-    for (std::size_t k = 0; k < cand.covered.size(); ++k) {
-      power_[cand.covered[k]] += cand.powers[k];
+  const CoverageMatrix& mat = *objective_->mat_;
+  HIPO_ASSERT(i < mat.num_rows());
+  const auto covered = mat.covered(i);
+  const auto powers = mat.powers(i);
+  for (std::size_t k = 0; k < covered.size(); ++k) {
+    power_[covered[k]] += powers[k];
+  }
+  if (!dirty_.empty()) {
+    // Dirty propagation: only rows sharing a covered device with i can see
+    // a different marginal gain — exactly the union of the inverted index's
+    // lists for i's devices. Everything else keeps its cached gain,
+    // bit-identical to a fresh recomputation.
+    for (std::uint32_t j : covered) {
+      for (std::uint32_t r : mat.rows_covering(j)) dirty_[r] = 1;
     }
   }
 }

@@ -22,15 +22,6 @@
 
 namespace hipo::opt {
 
-/// Storage the gain evaluation runs on:
-///   kFlatCsr — candidates packed into a CoverageMatrix (contiguous arenas,
-///              inverted device index, incremental dirty-gain support);
-///   kLegacy  — the original per-candidate vector-of-vectors walk.
-/// Both engines evaluate the identical expressions in the identical order,
-/// so every gain — and therefore every selection — is bit-identical; kLegacy
-/// is kept as the A/B baseline for the equivalence tests and benchmarks.
-enum class GainEngine { kFlatCsr, kLegacy };
-
 /// Per-device transform of the utility (both keep f monotone submodular):
 ///   kUtility    — P1/P3's Σ U_j (Eq. 4);
 ///   kLogUtility — Σ log(U_j + 1), the proportional-fairness objective of
@@ -68,35 +59,25 @@ inline BestGain better_gain(BestGain a, BestGain b) {
 
 class ChargingObjective {
  public:
-  /// Both references must outlive the objective. With kFlatCsr the
-  /// candidates are additionally packed into an owned CoverageMatrix and
-  /// the gain loops run on its arenas.
+  /// The scenario must outlive the objective. The candidates are packed
+  /// into an owned CoverageMatrix and every gain loop runs on its arenas;
+  /// the span is not retained.
   ChargingObjective(const model::Scenario& scenario,
                     std::span<const pdcs::Candidate> candidates,
-                    ObjectiveKind kind = ObjectiveKind::kUtility,
-                    GainEngine engine = GainEngine::kFlatCsr);
+                    ObjectiveKind kind = ObjectiveKind::kUtility);
 
-  /// Flat-engine objective over a caller-owned, already-built matrix (the
-  /// delta path's warm arenas): no packing work, no candidate span — every
-  /// row read is served from the borrowed CSR. The matrix must outlive the
-  /// objective and match the scenario's device count.
+  /// Objective over a caller-owned, already-built matrix (the delta path's
+  /// warm arenas): no packing work. The matrix must outlive the objective
+  /// and match the scenario's device count.
   ChargingObjective(const model::Scenario& scenario,
                     const CoverageMatrix& prebuilt,
                     ObjectiveKind kind = ObjectiveKind::kUtility);
 
-  std::size_t num_candidates() const {
-    return mat_ ? mat_->num_rows() : candidates_.size();
-  }
-  const pdcs::Candidate& candidate(std::size_t i) const;
-  /// Strategy of candidate i, served from the CSR row metadata when the
-  /// flat engine is active (candidate(i).strategy otherwise — identical).
+  std::size_t num_candidates() const { return mat_->num_rows(); }
+  /// Strategy of candidate i, served from the CSR row metadata.
   const model::Strategy& strategy(std::size_t i) const;
-  GainEngine engine() const {
-    return mat_ ? GainEngine::kFlatCsr : GainEngine::kLegacy;
-  }
-  /// The packed coverage structure (owned or borrowed); nullptr under
-  /// kLegacy.
-  const CoverageMatrix* matrix() const { return mat_; }
+  /// The packed coverage structure (owned or borrowed).
+  const CoverageMatrix& matrix() const { return *mat_; }
 
   /// f(X) for an explicit index set (recomputed from scratch).
   double value(std::span<const std::size_t> selected) const;
@@ -113,8 +94,9 @@ class ChargingObjective {
     /// Argmax scan over pool[begin, end) skipping taken candidates, with
     /// Algorithm 3's sequential semantics: only gains above kMinGain
     /// qualify, the incumbent is replaced only when beaten strictly, and
-    /// exact ties keep the earliest pool position (lowest index). This is
-    /// the per-chunk map of the parallel greedy argmax.
+    /// exact ties keep the earliest pool position (lowest index). No
+    /// greedy driver runs it; it is the plain reference scan the dense
+    /// argmax is tested and benchmarked against.
     BestGain best_gain(std::span<const std::size_t> pool, std::size_t begin,
                        std::size_t end, const std::vector<bool>& taken) const;
     /// Add candidate i to X. With incremental tracking on, also marks
@@ -123,8 +105,8 @@ class ChargingObjective {
     void add(std::size_t i);
     const std::vector<double>& device_power() const { return power_; }
 
-    /// Switch on cached-gain / dirty-set tracking (flat engine only; a
-    /// no-op under kLegacy or with an empty pool). Opt-in because it costs
+    /// Switch on cached-gain / dirty-set tracking (a no-op with an empty
+    /// pool, where no argmax ever runs). Opt-in because it costs
     /// a few O(n) arrays per State: the greedy drivers want it, while
     /// exhaustive search and local search construct/copy States far too
     /// often to pay for it.
@@ -136,8 +118,8 @@ class ChargingObjective {
     ///
     /// Thread-safety: gain() then writes cache entries through `mutable`
     /// members. Concurrent gain() calls are safe iff they target distinct
-    /// candidates — which the chunked argmax guarantees (disjoint pool
-    /// ranges per worker, and a candidate appears in a pool once). The
+    /// candidates — which the chunked argmax and the lazy heap build
+    /// guarantee (disjoint row ranges per worker). The
     /// cached value is bit-identical to a fresh recomputation by
     /// construction, so determinism across worker counts is unaffected.
     void enable_incremental(bool quantize = false);
@@ -155,9 +137,10 @@ class ChargingObjective {
       return !eligible_.empty() && eligible_[i] != 0;
     }
 
-    /// Blocked SoA argmax over candidate rows [begin, end): the dense
-    /// replacement for the pooled best_gain() when incremental tracking is
-    /// on. A word-scan dirty pre-pass refreshes stale eligible gains, then
+    /// Blocked SoA argmax over candidate rows [begin, end): the per-chunk
+    /// map of the per-type and global greedy drivers; needs
+    /// enable_incremental(). A word-scan dirty pre-pass refreshes stale
+    /// eligible gains, then
     /// the dispatched kernel scans the contiguous gain lane (or, when
     /// quantize is on, max-reduces the u16 lane and exact-rechecks the
     /// shortlist in double). Same semantics as best_gain: gains above
@@ -203,13 +186,12 @@ class ChargingObjective {
   void init_device_caches(const model::Scenario& scenario);
 
   const model::Scenario* scenario_;
-  std::span<const pdcs::Candidate> candidates_;
-  /// Flat engine storage (null under kLegacy). unique_ptr keeps the
-  /// objective cheaply movable and the legacy configuration allocation-free.
+  /// Owned storage of the span ctor (null when borrowed). unique_ptr keeps
+  /// the objective cheaply movable.
   std::unique_ptr<CoverageMatrix> matrix_;
-  /// The matrix the gain loops actually read: matrix_.get() when owned,
-  /// the caller's matrix when borrowed, nullptr under kLegacy.
-  const CoverageMatrix* mat_ = nullptr;
+  /// The matrix the gain loops read: matrix_.get() when owned, the
+  /// caller's matrix when borrowed. Never null.
+  const CoverageMatrix* mat_;
   /// Per-device caches the row kernels gather from. weight_over_pth_
   /// pre-divides weight/p_th so the utility kernel's per-element delta is
   /// division-free: (min(acc+q, th) − min(acc, th)) · (w/th).

@@ -1,4 +1,4 @@
-// Data-parallel kernels for the flat gain engine, behind a runtime CPU
+// Data-parallel kernels for the gain evaluation, behind a runtime CPU
 // dispatch: one binary carries an AVX2 variant (x86 with -mavx2 available at
 // build time) and a scalar variant of every kernel, and picks per process at
 // first use. The two variants are bit-identical by construction:
@@ -54,7 +54,7 @@ struct ArgmaxHit {
   std::size_t index = kNoIndex;
 };
 
-/// One variant set of the gain-engine kernels. All pointers are non-null.
+/// One variant set of the gain kernels. All pointers are non-null.
 struct GainKernels {
   /// Marginal gain of one row under the utility objective:
   ///   Σ_k (min(acc[j]+q, th[j]) − min(acc[j], th[j])) · wot[j]
@@ -64,16 +64,9 @@ struct GainKernels {
                                  const double* powers, std::size_t n,
                                  const double* acc, const double* th,
                                  const double* wot);
-  /// Same, for word-sized device ids (the legacy candidate structs).
-  double (*row_gain_utility_u64)(const std::size_t* ids, const double* powers,
-                                 std::size_t n, const double* acc,
-                                 const double* th, const double* wot);
   /// Log-utility row gain: Σ_k w[j]·log1p(u1) − w[j]·log1p(u0) with
   /// u = min(x, th)/th. Shared scalar code in every table.
   double (*row_gain_log_u32)(const std::uint32_t* ids, const double* powers,
-                             std::size_t n, const double* acc,
-                             const double* th, const double* w);
-  double (*row_gain_log_u64)(const std::size_t* ids, const double* powers,
                              std::size_t n, const double* acc,
                              const double* th, const double* w);
 

@@ -64,34 +64,6 @@ double avx2_row_gain_utility_u32(const std::uint32_t* ids,
   return sum;
 }
 
-double avx2_row_gain_utility_u64(const std::size_t* ids,
-                                 const double* powers, std::size_t n,
-                                 const double* acc, const double* th,
-                                 const double* wot) {
-  static_assert(sizeof(std::size_t) == 8,
-                "i64 gathers need word-sized device ids");
-  const std::size_t n4 = n & ~std::size_t{3};
-  __m256d vsum = _mm256_setzero_pd();
-  for (std::size_t k = 0; k < n4; k += 4) {
-    const __m256i idx = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(ids + k));
-    const __m256d vacc = _mm256_i64gather_pd(acc, idx, 8);
-    const __m256d vth = _mm256_i64gather_pd(th, idx, 8);
-    const __m256d vwot = _mm256_i64gather_pd(wot, idx, 8);
-    const __m256d vq = _mm256_loadu_pd(powers + k);
-    const __m256d m1 = _mm256_min_pd(_mm256_add_pd(vacc, vq), vth);
-    const __m256d m0 = _mm256_min_pd(vacc, vth);
-    const __m256d delta = _mm256_mul_pd(_mm256_sub_pd(m1, m0), vwot);
-    vsum = _mm256_add_pd(vsum, delta);
-  }
-  double sum = combine_lanes(vsum);
-  for (std::size_t k = n4; k < n; ++k) {
-    const std::size_t j = ids[k];
-    sum += utility_delta(acc[j], powers[k], th[j], wot[j]);
-  }
-  return sum;
-}
-
 ArgmaxHit avx2_argmax_f64(const double* gains, const std::uint8_t* eligible,
                           std::size_t begin, std::size_t end,
                           double min_gain) {
@@ -218,8 +190,7 @@ namespace detail {
 
 const GainKernels* avx2_table() {
   static const GainKernels table{
-      avx2_row_gain_utility_u32, avx2_row_gain_utility_u64,
-      row_gain_log_u32,          row_gain_log_u64,
+      avx2_row_gain_utility_u32, row_gain_log_u32,
       avx2_argmax_f64,           avx2_max_u16,
       avx2_argmax_f64_where_u16,
   };

@@ -31,8 +31,7 @@ inline double utility_delta(double acc, double q, double th, double wot) {
   return (m1 - m0) * wot;
 }
 
-template <typename Id>
-double row_gain_utility_generic(const Id* ids, const double* powers,
+inline double row_gain_utility_generic(const std::uint32_t* ids, const double* powers,
                                 std::size_t n, const double* acc,
                                 const double* th, const double* wot) {
   const std::size_t n4 = n & ~std::size_t{3};
@@ -57,8 +56,7 @@ double row_gain_utility_generic(const Id* ids, const double* powers,
 /// (both dispatch tables share one compiled copy, from kernels_scalar.cpp),
 /// so the fold order here matches the utility kernels' contract anyway for
 /// uniformity of the cross-kind tests.
-template <typename Id>
-double row_gain_log_generic(const Id* ids, const double* powers,
+inline double row_gain_log_generic(const std::uint32_t* ids, const double* powers,
                             std::size_t n, const double* acc,
                             const double* th, const double* w) {
   const std::size_t n4 = n & ~std::size_t{3};

@@ -16,13 +16,6 @@ double scalar_row_gain_utility_u32(const std::uint32_t* ids,
   return row_gain_utility_generic(ids, powers, n, acc, th, wot);
 }
 
-double scalar_row_gain_utility_u64(const std::size_t* ids,
-                                   const double* powers, std::size_t n,
-                                   const double* acc, const double* th,
-                                   const double* wot) {
-  return row_gain_utility_generic(ids, powers, n, acc, th, wot);
-}
-
 ArgmaxHit scalar_argmax_f64(const double* gains, const std::uint8_t* eligible,
                             std::size_t begin, std::size_t end,
                             double min_gain) {
@@ -53,16 +46,9 @@ double row_gain_log_u32(const std::uint32_t* ids, const double* powers,
   return row_gain_log_generic(ids, powers, n, acc, th, w);
 }
 
-double row_gain_log_u64(const std::size_t* ids, const double* powers,
-                        std::size_t n, const double* acc, const double* th,
-                        const double* w) {
-  return row_gain_log_generic(ids, powers, n, acc, th, w);
-}
-
 const GainKernels* scalar_table() {
   static const GainKernels table{
-      scalar_row_gain_utility_u32, scalar_row_gain_utility_u64,
-      row_gain_log_u32,            row_gain_log_u64,
+      scalar_row_gain_utility_u32, row_gain_log_u32,
       scalar_argmax_f64,           scalar_max_u16,
       scalar_argmax_f64_where_u16,
   };

@@ -17,12 +17,9 @@ const GainKernels* scalar_table();
 /// support (compiler lacks -mavx2, or a non-x86 target).
 const GainKernels* avx2_table();
 
-/// Log-utility row kernels — one scalar compilation shared by both tables,
+/// Log-utility row kernel — one scalar compilation shared by both tables,
 /// defined in kernels_scalar.cpp (vectorizing log1p would change rounding).
 double row_gain_log_u32(const std::uint32_t* ids, const double* powers,
-                        std::size_t n, const double* acc, const double* th,
-                        const double* w);
-double row_gain_log_u64(const std::size_t* ids, const double* powers,
                         std::size_t n, const double* acc, const double* th,
                         const double* w);
 

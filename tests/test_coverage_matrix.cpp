@@ -1,14 +1,17 @@
-// The flat CSR coverage engine (opt::CoverageMatrix + the dirty-gain
-// incremental State) against the legacy vector-of-vectors path: structural
-// CSR invariants, bit-for-bit GreedyResult equivalence across greedy modes,
-// objective kinds, thread counts, and the fuzz generator's adversarial
-// scenarios, plus the dirty-bitset cache invariant the incremental argmax
-// rests on.
+// The CSR coverage engine (opt::CoverageMatrix + the dirty-gain
+// incremental State): structural CSR invariants, bit-for-bit GreedyResult
+// identity across kernel ISAs, thread counts, and lazy vs eager global
+// greedy over every greedy mode, objective kind, and the fuzz generator's
+// adversarial scenarios; the dirty-bitset cache invariant the incremental
+// argmax rests on; and f(X) against its Eq. (3) definition.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/fuzz/generator.hpp"
@@ -25,23 +28,60 @@ namespace {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-void expect_results_identical(const opt::GreedyResult& flat,
-                              const opt::GreedyResult& legacy,
+void expect_results_identical(const opt::GreedyResult& run,
+                              const opt::GreedyResult& base,
                               const std::string& label) {
-  EXPECT_EQ(flat.selected, legacy.selected) << label;
-  EXPECT_EQ(bits(flat.approx_utility), bits(legacy.approx_utility)) << label;
-  EXPECT_EQ(bits(flat.exact_utility), bits(legacy.exact_utility)) << label;
-  ASSERT_EQ(flat.placement.size(), legacy.placement.size()) << label;
-  for (std::size_t i = 0; i < flat.placement.size(); ++i) {
-    EXPECT_EQ(bits(flat.placement[i].pos.x), bits(legacy.placement[i].pos.x))
+  EXPECT_EQ(run.selected, base.selected) << label;
+  EXPECT_EQ(bits(run.approx_utility), bits(base.approx_utility)) << label;
+  EXPECT_EQ(bits(run.exact_utility), bits(base.exact_utility)) << label;
+  ASSERT_EQ(run.placement.size(), base.placement.size()) << label;
+  for (std::size_t i = 0; i < run.placement.size(); ++i) {
+    EXPECT_EQ(bits(run.placement[i].pos.x), bits(base.placement[i].pos.x))
         << label << " slot " << i;
-    EXPECT_EQ(bits(flat.placement[i].pos.y), bits(legacy.placement[i].pos.y))
+    EXPECT_EQ(bits(run.placement[i].pos.y), bits(base.placement[i].pos.y))
         << label << " slot " << i;
-    EXPECT_EQ(bits(flat.placement[i].orientation),
-              bits(legacy.placement[i].orientation))
+    EXPECT_EQ(bits(run.placement[i].orientation),
+              bits(base.placement[i].orientation))
         << label << " slot " << i;
-    EXPECT_EQ(flat.placement[i].type, legacy.placement[i].type)
+    EXPECT_EQ(run.placement[i].type, base.placement[i].type)
         << label << " slot " << i;
+  }
+}
+
+/// For every greedy mode under `kind`: the scalar, pool-free run is the
+/// baseline, and every (ISA × worker count) run must reproduce it bit for
+/// bit. The lazy-global baseline must also equal the eager global one.
+void expect_gain_paths_identical(const model::Scenario& scenario,
+                                 std::span<const pdcs::Candidate> cands,
+                                 opt::ObjectiveKind kind,
+                                 std::span<const std::size_t> worker_counts,
+                                 const std::string& label) {
+  std::vector<opt::simd::Isa> isas = {opt::simd::Isa::kScalar};
+  if (test::have_avx2()) isas.push_back(opt::simd::Isa::kAvx2);
+  test::IsaGuard guard;
+  opt::GreedyResult global_base;
+  for (const auto mode : {opt::GreedyMode::kPerType, opt::GreedyMode::kGlobal,
+                          opt::GreedyMode::kLazyGlobal}) {
+    const std::string mode_label =
+        label + " mode " + std::to_string(static_cast<int>(mode));
+    opt::simd::force_isa(opt::simd::Isa::kScalar);
+    const auto base = opt::select_strategies(scenario, cands, mode, kind);
+    if (mode == opt::GreedyMode::kGlobal) global_base = base;
+    if (mode == opt::GreedyMode::kLazyGlobal) {
+      expect_results_identical(base, global_base, mode_label + " lazy≡global");
+    }
+    for (const std::size_t workers : worker_counts) {
+      std::unique_ptr<parallel::ThreadPool> pool;
+      if (workers > 0) pool = std::make_unique<parallel::ThreadPool>(workers);
+      for (const opt::simd::Isa isa : isas) {
+        opt::simd::force_isa(isa);
+        expect_results_identical(
+            opt::select_strategies(scenario, cands, mode, kind, pool.get()),
+            base,
+            mode_label + " workers " + std::to_string(workers) + " isa " +
+                opt::simd::isa_name(isa));
+      }
+    }
   }
 }
 
@@ -109,41 +149,23 @@ TEST(CoverageMatrix, EmptyPoolAndEmptyMatrix) {
   }
 }
 
-// The headline equivalence: the CSR engine and the legacy path produce
-// bit-identical GreedyResults across the fuzz generator's adversarial
-// scenarios, every greedy mode, both objective kinds, and threads
-// ∈ {0 (no pool), 1, 4}.
-TEST(FlatVsLegacy, IdenticalOnAdversarialScenarios) {
+// The headline equivalence: bit-identical GreedyResults across kernel ISAs,
+// threads ∈ {0 (no pool), 1, 4}, and lazy vs eager global greedy, over the
+// fuzz generator's adversarial scenarios, every greedy mode, and both
+// objective kinds.
+TEST(GainPaths, IdenticalOnAdversarialScenarios) {
+  const std::size_t worker_counts[] = {0, 1, 4};
   for (const std::uint64_t seed : {2ull, 9ull, 41ull, 77ull, 130ull}) {
     fuzz::GeneratorOptions gen;
     gen.adversarial_bias = 1.0;
     const model::Scenario scenario(fuzz::random_config(seed, gen));
     const auto extraction = pdcs::extract_all(scenario);
-
-    for (const auto mode :
-         {opt::GreedyMode::kPerType, opt::GreedyMode::kGlobal,
-          opt::GreedyMode::kLazyGlobal}) {
-      for (const auto kind :
-           {opt::ObjectiveKind::kUtility, opt::ObjectiveKind::kLogUtility}) {
-        for (const std::size_t workers : {0u, 1u, 4u}) {
-          std::unique_ptr<parallel::ThreadPool> pool;
-          if (workers > 0) {
-            pool = std::make_unique<parallel::ThreadPool>(workers);
-          }
-          const auto flat = opt::select_strategies(
-              scenario, extraction.candidates, mode, kind, pool.get(),
-              opt::GainEngine::kFlatCsr);
-          const auto legacy = opt::select_strategies(
-              scenario, extraction.candidates, mode, kind, pool.get(),
-              opt::GainEngine::kLegacy);
-          expect_results_identical(
-              flat, legacy,
-              "seed " + std::to_string(seed) + " mode " +
-                  std::to_string(static_cast<int>(mode)) + " kind " +
-                  std::to_string(static_cast<int>(kind)) + " workers " +
-                  std::to_string(workers));
-        }
-      }
+    for (const auto kind :
+         {opt::ObjectiveKind::kUtility, opt::ObjectiveKind::kLogUtility}) {
+      expect_gain_paths_identical(
+          scenario, extraction.candidates, kind, worker_counts,
+          "seed " + std::to_string(seed) + " kind " +
+              std::to_string(static_cast<int>(kind)));
     }
   }
 }
@@ -151,21 +173,13 @@ TEST(FlatVsLegacy, IdenticalOnAdversarialScenarios) {
 // Same equivalence on the denser paper-style scenario, where the dirty set
 // is a strict subset of the pool every round (the interesting regime for
 // the incremental argmax).
-TEST(FlatVsLegacy, IdenticalOnPaperScenario) {
+TEST(GainPaths, IdenticalOnPaperScenario) {
   const auto scenario = test::small_paper_scenario(17, 2, 2);
   const auto extraction = pdcs::extract_all(scenario);
-  parallel::ThreadPool pool(4);
-  for (const auto mode : {opt::GreedyMode::kPerType, opt::GreedyMode::kGlobal,
-                          opt::GreedyMode::kLazyGlobal}) {
-    const auto flat = opt::select_strategies(
-        scenario, extraction.candidates, mode, opt::ObjectiveKind::kUtility,
-        &pool, opt::GainEngine::kFlatCsr);
-    const auto legacy = opt::select_strategies(
-        scenario, extraction.candidates, mode, opt::ObjectiveKind::kUtility,
-        &pool, opt::GainEngine::kLegacy);
-    expect_results_identical(flat, legacy,
-                             "mode " + std::to_string(static_cast<int>(mode)));
-  }
+  const std::size_t worker_counts[] = {4};
+  expect_gain_paths_identical(scenario, extraction.candidates,
+                              opt::ObjectiveKind::kUtility, worker_counts,
+                              "paper");
 }
 
 // The cache invariant the incremental greedy rests on: after any sequence
@@ -178,10 +192,8 @@ TEST(DirtyGain, CleanCacheEntriesAreBitExact) {
   const auto& cands = extraction.candidates;
   ASSERT_GE(cands.size(), 4u);
 
-  const opt::ChargingObjective objective(scenario, cands,
-                                         opt::ObjectiveKind::kUtility,
-                                         opt::GainEngine::kFlatCsr);
-  const opt::CoverageMatrix& matrix = *objective.matrix();
+  const opt::ChargingObjective objective(scenario, cands);
+  const opt::CoverageMatrix& matrix = objective.matrix();
   opt::ChargingObjective::State state(objective);
   state.enable_incremental();
   ASSERT_TRUE(state.incremental());
@@ -220,30 +232,82 @@ TEST(DirtyGain, CleanCacheEntriesAreBitExact) {
 }
 
 // A State that never opts into incremental tracking (exhaustive / local
-// search usage) behaves identically to the legacy engine's State.
-TEST(DirtyGain, NonIncrementalStateMatchesLegacy) {
+// search usage) computes every gain and value bit-identically to the
+// incremental State the greedy drivers use.
+TEST(DirtyGain, NonIncrementalStateMatchesIncremental) {
   const auto scenario = test::small_paper_scenario(8, 2, 2);
   const auto extraction = pdcs::extract_all(scenario);
   const auto& cands = extraction.candidates;
 
-  const opt::ChargingObjective flat(scenario, cands,
-                                    opt::ObjectiveKind::kUtility,
-                                    opt::GainEngine::kFlatCsr);
-  const opt::ChargingObjective legacy(scenario, cands,
-                                      opt::ObjectiveKind::kUtility,
-                                      opt::GainEngine::kLegacy);
-  opt::ChargingObjective::State sf(flat);
-  opt::ChargingObjective::State sl(legacy);
-  EXPECT_FALSE(sf.incremental());
-  for (std::size_t i = 0; i < cands.size(); ++i) {
-    EXPECT_EQ(bits(sf.gain(i)), bits(sl.gain(i))) << i;
-  }
-  for (std::size_t pick : {std::size_t{1}, cands.size() / 3}) {
-    sf.add(pick);
-    sl.add(pick);
-    EXPECT_EQ(bits(sf.value()), bits(sl.value()));
+  for (const auto kind :
+       {opt::ObjectiveKind::kUtility, opt::ObjectiveKind::kLogUtility}) {
+    const opt::ChargingObjective objective(scenario, cands, kind);
+    opt::ChargingObjective::State plain(objective);
+    opt::ChargingObjective::State incremental(objective);
+    incremental.enable_incremental();
+    EXPECT_FALSE(plain.incremental());
+    ASSERT_TRUE(incremental.incremental());
     for (std::size_t i = 0; i < cands.size(); ++i) {
-      EXPECT_EQ(bits(sf.gain(i)), bits(sl.gain(i))) << i;
+      EXPECT_EQ(bits(plain.gain(i)), bits(incremental.gain(i))) << i;
+    }
+    for (std::size_t pick : {std::size_t{1}, cands.size() / 3}) {
+      plain.add(pick);
+      incremental.add(pick);
+      EXPECT_EQ(bits(plain.value()), bits(incremental.value()));
+      for (std::size_t i = 0; i < cands.size(); ++i) {
+        EXPECT_EQ(bits(plain.gain(i)), bits(incremental.gain(i))) << i;
+      }
+    }
+  }
+}
+
+/// f(X) straight from its definition over the candidate structs, sharing
+/// no code with the kernel table: accumulate P̃ per device, then
+/// (Σ_j w_j·T(U_j)) / Σ_j w_j with T = identity (Eq. 4, the paper's
+/// (1/N_o)·Σ_j U_j under unit weights) or T(u) = log(1 + u) (Eq. 16).
+double definition_value(const model::Scenario& scenario,
+                        std::span<const pdcs::Candidate> cands,
+                        std::span<const std::size_t> selected,
+                        opt::ObjectiveKind kind) {
+  std::vector<double> power(scenario.num_devices(), 0.0);
+  for (std::size_t i : selected) {
+    for (std::size_t k = 0; k < cands[i].covered.size(); ++k) {
+      power[cands[i].covered[k]] += cands[i].powers[k];
+    }
+  }
+  double total = 0.0;
+  for (std::size_t j = 0; j < scenario.num_devices(); ++j) {
+    const double u = scenario.utility(j, power[j]);
+    total += scenario.device(j).weight *
+             (kind == opt::ObjectiveKind::kUtility ? u : std::log1p(u));
+  }
+  return total / scenario.total_weight();
+}
+
+// Objective semantics, checked without the kernel table: the incremental
+// State's value after each add matches the Eq. (3)/(4) definition.
+TEST(DirtyGain, StateValueMatchesDefinition) {
+  const auto scenario = test::small_paper_scenario(8, 2, 2);
+  const auto extraction = pdcs::extract_all(scenario);
+  const auto& cands = extraction.candidates;
+  ASSERT_GE(cands.size(), 4u);
+
+  for (const auto kind :
+       {opt::ObjectiveKind::kUtility, opt::ObjectiveKind::kLogUtility}) {
+    const opt::ChargingObjective objective(scenario, cands, kind);
+    opt::ChargingObjective::State state(objective);
+    state.enable_incremental();
+    std::vector<std::size_t> selected;
+    for (std::size_t pick :
+         {std::size_t{0}, cands.size() / 3, cands.size() / 2,
+          cands.size() - 1}) {
+      state.add(pick);
+      selected.push_back(pick);
+      const double want = definition_value(scenario, cands, selected, kind);
+      ASSERT_GT(want, 0.0);
+      EXPECT_NEAR(state.value(), want, 1e-12 * want)
+          << "kind " << static_cast<int>(kind) << " after " << selected.size()
+          << " picks";
     }
   }
 }
@@ -263,15 +327,11 @@ TEST(DirtyGain, DeviceFreeScenarioHasZeroGains) {
   pdcs::Candidate cand;
   cand.strategy = {{1.0, 1.0}, 0.0, 0};
   const std::vector<pdcs::Candidate> cands{cand};
-  for (const auto engine :
-       {opt::GainEngine::kFlatCsr, opt::GainEngine::kLegacy}) {
-    const opt::ChargingObjective objective(
-        scenario, cands, opt::ObjectiveKind::kUtility, engine);
-    opt::ChargingObjective::State state(objective);
-    EXPECT_EQ(state.gain(0), 0.0);
-    state.add(0);
-    EXPECT_EQ(state.value(), 0.0);
-  }
+  const opt::ChargingObjective objective(scenario, cands);
+  opt::ChargingObjective::State state(objective);
+  EXPECT_EQ(state.gain(0), 0.0);
+  state.add(0);
+  EXPECT_EQ(state.value(), 0.0);
 }
 
 // --- in-place patching (the DeltaSolver substrate) -------------------------

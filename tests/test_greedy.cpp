@@ -60,12 +60,23 @@ TEST(Greedy, RespectsBudgets) {
   }
 }
 
+// n == 0: no incremental lanes exist, and every driver must still return an
+// empty placement without running an argmax.
 TEST(Greedy, EmptyCandidatesGiveEmptyPlacement) {
   const auto s = test::simple_scenario();
   const std::vector<pdcs::Candidate> none;
-  const auto result = select_strategies(s, none);
-  EXPECT_TRUE(result.placement.empty());
-  EXPECT_DOUBLE_EQ(result.approx_utility, 0.0);
+  for (auto mode :
+       {GreedyMode::kPerType, GreedyMode::kGlobal, GreedyMode::kLazyGlobal}) {
+    for (const bool quantize : {false, true}) {
+      const auto result = select_strategies(s, none, mode,
+                                            ObjectiveKind::kUtility, nullptr,
+                                            quantize);
+      EXPECT_TRUE(result.selected.empty());
+      EXPECT_TRUE(result.placement.empty());
+      EXPECT_DOUBLE_EQ(result.approx_utility, 0.0);
+      EXPECT_DOUBLE_EQ(result.exact_utility, 0.0);
+    }
+  }
 }
 
 TEST(Greedy, LazyMatchesGlobalExactly) {

@@ -4,9 +4,28 @@
 
 #include "src/model/scenario.hpp"
 #include "src/model/scenario_gen.hpp"
+#include "src/opt/simd/gain_kernels.hpp"
 #include "src/util/rng.hpp"
 
 namespace hipo::test {
+
+/// Restores the dispatched gain-kernel ISA on scope exit, so a failing
+/// ASSERT inside a forced-ISA section cannot leak the pin into later tests.
+class IsaGuard {
+ public:
+  IsaGuard() : saved_(opt::simd::active_isa()) {}
+  ~IsaGuard() { opt::simd::force_isa(saved_); }
+  IsaGuard(const IsaGuard&) = delete;
+  IsaGuard& operator=(const IsaGuard&) = delete;
+
+ private:
+  opt::simd::Isa saved_;
+};
+
+/// True when the AVX2 kernels are compiled in and the CPU can run them.
+inline bool have_avx2() {
+  return opt::simd::avx2_compiled() && opt::simd::cpu_has_avx2();
+}
 
 /// One charger type (α=π/2, d∈[1,5]), one omni-ish device type (α=2π),
 /// devices/obstacles supplied by the caller. Region [0,20]².

@@ -36,10 +36,6 @@ TEST(ReplanOptions, RejectsOptionCombinationsWithNoIncrementalPath) {
   local.local_search = true;
   EXPECT_THROW(core::replan_options(local), ConfigError);
 
-  core::SolveOptions legacy;
-  legacy.gain_engine = opt::GainEngine::kLegacy;
-  EXPECT_THROW(core::replan_options(legacy), ConfigError);
-
   const core::SolveOptions plain;
   const auto replan = core::replan_options(plain);
   EXPECT_EQ(replan.delta.mode, plain.greedy);

@@ -3,8 +3,8 @@
 // tie-breaks, tails, and unaligned [begin, end) windows), the quantization
 // invariants the top-k shortlist rests on, dense-vs-pooled argmax
 // equivalence, full placement identity across ISA × quantize × greedy mode
-// × objective kind × thread count against the legacy engine, and the
-// kernel-path observability counters.
+// × objective kind × thread count against the scalar single-threaded
+// baseline, and the kernel-path observability counters.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -32,32 +32,16 @@ using opt::simd::ArgmaxHit;
 using opt::simd::GainKernels;
 using opt::simd::Isa;
 using opt::simd::kNoIndex;
+using test::have_avx2;
+using test::IsaGuard;
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
-
-/// Restores the dispatched ISA on scope exit, so a failing ASSERT inside a
-/// forced-scalar section cannot leak the pin into later tests.
-class IsaGuard {
- public:
-  IsaGuard() : saved_(opt::simd::active_isa()) {}
-  ~IsaGuard() { opt::simd::force_isa(saved_); }
-  IsaGuard(const IsaGuard&) = delete;
-  IsaGuard& operator=(const IsaGuard&) = delete;
-
- private:
-  Isa saved_;
-};
-
-bool have_avx2() {
-  return opt::simd::avx2_compiled() && opt::simd::cpu_has_avx2();
-}
 
 /// Random row-kernel inputs: `n` coverage entries over `num_devices`
 /// devices, with accumulated powers straddling the p_th saturation point so
 /// both min() branches are exercised.
 struct RowInputs {
   std::vector<std::uint32_t> ids32;
-  std::vector<std::size_t> ids64;
   std::vector<double> powers;
   std::vector<double> acc;
   std::vector<double> th;
@@ -70,7 +54,6 @@ RowInputs make_row_inputs(std::size_t n, std::size_t num_devices, Rng& rng) {
   for (std::size_t k = 0; k < n; ++k) {
     const auto j = static_cast<std::uint32_t>(rng.below(num_devices));
     in.ids32.push_back(j);
-    in.ids64.push_back(j);
     in.powers.push_back(rng.uniform(0.01, 0.9));
   }
   for (std::size_t j = 0; j < num_devices; ++j) {
@@ -133,9 +116,7 @@ TEST(SimdDispatch, ScalarAlwaysAvailableAndForceRoundTrips) {
   // The scalar table is complete.
   const GainKernels& k = opt::simd::kernels(Isa::kScalar);
   EXPECT_NE(k.row_gain_utility_u32, nullptr);
-  EXPECT_NE(k.row_gain_utility_u64, nullptr);
   EXPECT_NE(k.row_gain_log_u32, nullptr);
-  EXPECT_NE(k.row_gain_log_u64, nullptr);
   EXPECT_NE(k.argmax_f64, nullptr);
   EXPECT_NE(k.max_u16, nullptr);
   EXPECT_NE(k.argmax_f64_where_u16, nullptr);
@@ -157,7 +138,6 @@ TEST(SimdDispatch, Avx2TableSharesLogKernelsWithScalar) {
   const GainKernels& s = opt::simd::kernels(Isa::kScalar);
   const GainKernels& v = opt::simd::kernels(Isa::kAvx2);
   EXPECT_EQ(s.row_gain_log_u32, v.row_gain_log_u32);
-  EXPECT_EQ(s.row_gain_log_u64, v.row_gain_log_u64);
   // The vectorized kernels are genuinely different code.
   EXPECT_NE(s.row_gain_utility_u32, v.row_gain_utility_u32);
   EXPECT_NE(s.argmax_f64, v.argmax_f64);
@@ -177,16 +157,7 @@ TEST(KernelParity, RowGainBitIdenticalScalarVsAvx2) {
       const double v32 =
           v.row_gain_utility_u32(in.ids32.data(), in.powers.data(), n,
                                  in.acc.data(), in.th.data(), in.wot.data());
-      EXPECT_EQ(bits(s32), bits(v32)) << "u32 n=" << n << " trial " << trial;
-      const double s64 =
-          s.row_gain_utility_u64(in.ids64.data(), in.powers.data(), n,
-                                 in.acc.data(), in.th.data(), in.wot.data());
-      const double v64 =
-          v.row_gain_utility_u64(in.ids64.data(), in.powers.data(), n,
-                                 in.acc.data(), in.th.data(), in.wot.data());
-      EXPECT_EQ(bits(s64), bits(v64)) << "u64 n=" << n << " trial " << trial;
-      // The two id widths address identical devices, so the sums agree.
-      EXPECT_EQ(bits(s32), bits(s64)) << "n=" << n << " trial " << trial;
+      EXPECT_EQ(bits(s32), bits(v32)) << "n=" << n << " trial " << trial;
     }
   }
 }
@@ -316,9 +287,7 @@ TEST(DenseArgmax, MatchesPooledScanRoundForRound) {
   const auto& cands = extraction.candidates;
   ASSERT_GE(cands.size(), 8u);
 
-  const opt::ChargingObjective objective(scenario, cands,
-                                         opt::ObjectiveKind::kUtility,
-                                         opt::GainEngine::kFlatCsr);
+  const opt::ChargingObjective objective(scenario, cands);
 
   // Pooled reference picks.
   std::vector<std::size_t> ids(cands.size());
@@ -369,9 +338,7 @@ TEST(DenseArgmax, EligibilityRoundTripRestoresQuantLane) {
   const auto& cands = extraction.candidates;
   ASSERT_GE(cands.size(), 2u);
 
-  const opt::ChargingObjective objective(scenario, cands,
-                                         opt::ObjectiveKind::kUtility,
-                                         opt::GainEngine::kFlatCsr);
+  const opt::ChargingObjective objective(scenario, cands);
   opt::ChargingObjective::State state(objective);
   state.enable_incremental(/*quantize=*/true);
 
@@ -390,9 +357,9 @@ TEST(DenseArgmax, EligibilityRoundTripRestoresQuantLane) {
   EXPECT_EQ(bits(again.gain), bits(first.gain));
 }
 
-// The headline bit-identity property: every (ISA × quantize) variant of the
-// flat engine reproduces the legacy engine's placements exactly, across
-// greedy modes, objective kinds, and thread counts — on the paper-style
+// The headline bit-identity property: every (ISA × quantize × threads)
+// variant reproduces the scalar, non-quantized, single-threaded placement
+// exactly, across greedy modes and objective kinds — on the paper-style
 // scenario and an adversarial fuzz scenario.
 TEST(PlacementIdentity, AcrossIsaQuantizeModeKindThreads) {
   std::vector<model::Scenario> scenarios;
@@ -417,22 +384,21 @@ TEST(PlacementIdentity, AcrossIsaQuantizeModeKindThreads) {
           opt::GreedyMode::kLazyGlobal}) {
       for (const auto kind :
            {opt::ObjectiveKind::kUtility, opt::ObjectiveKind::kLogUtility}) {
+        // Baseline: forced-scalar kernels, no quantization, no pool.
+        opt::simd::force_isa(Isa::kScalar);
+        const auto base = opt::select_strategies(
+            scenario, extraction.candidates, mode, kind);
         for (const std::size_t workers : {0u, 1u, 4u}) {
           std::unique_ptr<parallel::ThreadPool> pool;
           if (workers > 0) {
             pool = std::make_unique<parallel::ThreadPool>(workers);
           }
-          // Baseline: legacy engine under forced-scalar kernels.
-          opt::simd::force_isa(Isa::kScalar);
-          const auto base = opt::select_strategies(
-              scenario, extraction.candidates, mode, kind, pool.get(),
-              opt::GainEngine::kLegacy);
           for (const Isa isa : isas) {
             opt::simd::force_isa(isa);
             for (const bool quantize : {false, true}) {
               const auto run = opt::select_strategies(
                   scenario, extraction.candidates, mode, kind, pool.get(),
-                  opt::GainEngine::kFlatCsr, quantize);
+                  quantize);
               const std::string label =
                   "scenario " + std::to_string(si) + " mode " +
                   std::to_string(static_cast<int>(mode)) + " kind " +
@@ -463,7 +429,7 @@ TEST(Counters, DenseArgmaxBumpsKernelPathCounters) {
   (void)opt::select_strategies(scenario, extraction.candidates,
                                opt::GreedyMode::kGlobal,
                                opt::ObjectiveKind::kUtility, nullptr,
-                               opt::GainEngine::kFlatCsr, /*quantize=*/true);
+                               /*quantize=*/true);
   const std::uint64_t simd_rows = obs::counter("coverage.simd_rows").value();
   const std::uint64_t rechecks =
       obs::counter("gain.quantized_rechecks").value();

@@ -5,8 +5,6 @@
 //   hipo_solve --scenario field.hipo [--out placement.hipo] [--svg out.svg]
 //              [--algorithm hipo|gppdcs|gpad|gpar|rpad|rpar]
 //              [--grid square|triangle] [--local-search] [--seed N]
-//              [--gain-engine flat|legacy]  (CSR dirty-gain engine vs the
-//                                      full-rescan baseline; same placement)
 //              [--greedy lazy|global|per-type]  (selection mode; lazy is the
 //                                      default, all three same guarantee)
 //              [--gain-quantize]      (u16 top-k shortlist in the dense
@@ -58,19 +56,20 @@ model::Scenario load_scenario(Cli& cli) {
   return model::read_scenario_file(*path);
 }
 
-/// The hipo-pipeline options shared by `core::solve` and the delta flow.
+opt::GreedyMode parse_greedy(const std::string& name) {
+  if (name == "lazy") return opt::GreedyMode::kLazyGlobal;
+  if (name == "global") return opt::GreedyMode::kGlobal;
+  if (name == "per-type") return opt::GreedyMode::kPerType;
+  throw ConfigError("--greedy expects 'lazy', 'global', or 'per-type'");
+}
+
+/// The hipo-pipeline options shared by `core::solve` and the delta flow —
+/// the one place the hipo flags are parsed and validated.
 core::SolveOptions hipo_options(Cli& cli, parallel::ThreadPool& pool) {
-  const std::string engine_name =
-      cli.get_or("gain-engine", std::string("flat"));
-  const std::string greedy_name = cli.get_or("greedy", std::string("lazy"));
   core::SolveOptions opts;
   opts.local_search = cli.has("local-search");
   opts.pool = &pool;
-  opts.gain_engine = engine_name == "flat" ? opt::GainEngine::kFlatCsr
-                                           : opt::GainEngine::kLegacy;
-  opts.greedy = greedy_name == "lazy"     ? opt::GreedyMode::kLazyGlobal
-                : greedy_name == "global" ? opt::GreedyMode::kGlobal
-                                          : opt::GreedyMode::kPerType;
+  opts.greedy = parse_greedy(cli.get_or("greedy", std::string("lazy")));
   opts.gain_quantize = cli.has("gain-quantize");
   return opts;
 }
@@ -162,15 +161,6 @@ model::Placement run_algorithm(const model::Scenario& scenario, Cli& cli) {
   Rng rng(static_cast<std::uint64_t>(cli.get_or("seed", 1)) ^
           0x9e3779b97f4a7c15ULL);
 
-  const std::string engine_name =
-      cli.get_or("gain-engine", std::string("flat"));
-  HIPO_REQUIRE(engine_name == "flat" || engine_name == "legacy",
-               "--gain-engine expects 'flat' or 'legacy'");
-  const std::string greedy_name = cli.get_or("greedy", std::string("lazy"));
-  HIPO_REQUIRE(greedy_name == "lazy" || greedy_name == "global" ||
-                   greedy_name == "per-type",
-               "--greedy expects 'lazy', 'global', or 'per-type'");
-
   if (name == "hipo") {
     parallel::ThreadPool pool(static_cast<std::size_t>(threads));
     const core::SolveOptions opts = hipo_options(cli, pool);
@@ -198,7 +188,7 @@ void observe_placement(const model::Scenario& scenario,
 }
 
 /// Reject flag combinations where one flag would be silently ignored: a
-/// sweep script that passes `--gain-quantize --gain-engine legacy` is
+/// sweep script that passes `--gain-quantize` to the lazy greedy is
 /// measuring something other than what it says, and `--deltas-verify`
 /// without `--deltas` verifies nothing.
 void check_flag_interactions(Cli& cli) {
@@ -209,10 +199,6 @@ void check_flag_interactions(Cli& cli) {
                  "deltas to verify)");
   }
   if (cli.has("gain-quantize")) {
-    HIPO_REQUIRE(
-        cli.get_or("gain-engine", std::string("flat")) == "flat",
-        "--gain-quantize is a flat-engine shortlist; it has no effect with "
-        "--gain-engine legacy");
     const std::string greedy = cli.get_or("greedy", std::string("lazy"));
     HIPO_REQUIRE(greedy == "global" || greedy == "per-type",
                  "--gain-quantize only affects the dense argmax of "
@@ -220,7 +206,7 @@ void check_flag_interactions(Cli& cli) {
   }
   if (algorithm != "hipo") {
     for (const char* flag :
-         {"gain-engine", "greedy", "gain-quantize", "local-search"}) {
+         {"greedy", "gain-quantize", "local-search"}) {
       HIPO_REQUIRE(!cli.has(flag),
                    std::string("--") + flag +
                        " only applies to --algorithm hipo (the baselines "
