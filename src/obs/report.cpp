@@ -56,6 +56,22 @@ void print_report(const MetricsSnapshot& snapshot, std::ostream& os) {
     phases.print(os);
   }
 
+  // Every other accumulator is a stage: seconds summed over its samples
+  // (extract.positions_s, .sweep_s and .task_filter_s take one sample per
+  // device task, summed over charger types). Stages run inside phases and,
+  // with threads, in parallel, so they are not shares of the solve.
+  Table stages({"stage", "seconds", "samples"});
+  bool any_stage = false;
+  for (const auto& a : snapshot.accums) {
+    if (!phase_name(a.name).empty()) continue;
+    any_stage = true;
+    stages.row().add(a.name).add(a.sum, 6).add(a.count);
+  }
+  if (any_stage) {
+    os << "stages:\n";
+    stages.print(os);
+  }
+
   if (!snapshot.counters.empty()) {
     Table counters({"counter", "value"});
     for (const auto& c : snapshot.counters) {

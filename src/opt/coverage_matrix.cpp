@@ -255,14 +255,21 @@ bool CoverageMatrix::same_as(const CoverageMatrix& other) const {
       dev_rows_ != other.dev_rows_) {
     return false;
   }
-  if (device_arena_.size() != other.device_arena_.size()) return false;
-  if (std::memcmp(device_arena_.data(), other.device_arena_.data(),
+  if (device_arena_.size() != other.device_arena_.size() ||
+      power_arena_.size() != other.power_arena_.size()) {
+    return false;
+  }
+  // Empty arenas skip the compares: their data() may be null, and memcmp on
+  // a null pointer is undefined even for size 0.
+  if (!device_arena_.empty() &&
+      std::memcmp(device_arena_.data(), other.device_arena_.data(),
                   device_arena_.size() * sizeof(std::uint32_t)) != 0) {
     return false;
   }
   // Powers compared bitwise (memcmp), not numerically: the delta contract
   // is bit-identity, and -0.0 == 0.0 must not mask a divergence.
-  if (std::memcmp(power_arena_.data(), other.power_arena_.data(),
+  if (!power_arena_.empty() &&
+      std::memcmp(power_arena_.data(), other.power_arena_.data(),
                   power_arena_.size() * sizeof(double)) != 0) {
     return false;
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <string>
 
 #include "src/model/los_cache.hpp"
 #include "src/obs/metrics.hpp"
@@ -9,6 +10,14 @@
 #include "src/util/error.hpp"
 
 namespace hipo::opt {
+
+GreedyMode parse_greedy_mode(std::string_view name) {
+  if (name == "lazy") return GreedyMode::kLazyGlobal;
+  if (name == "global") return GreedyMode::kGlobal;
+  if (name == "per-type") return GreedyMode::kPerType;
+  throw ConfigError("greedy mode '" + std::string(name) +
+                    "' is not one of 'lazy', 'global', 'per-type'");
+}
 
 PartitionMatroid placement_matroid(
     const model::Scenario& scenario,

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "src/model/scenario.hpp"
@@ -25,6 +26,11 @@
 namespace hipo::opt {
 
 enum class GreedyMode { kPerType, kGlobal, kLazyGlobal };
+
+/// The mode a front end names: "lazy" (kLazyGlobal), "global" or
+/// "per-type". The one list of accepted names for hipo_solve, hipo_shard
+/// and the serve protocol; ConfigError for anything else.
+GreedyMode parse_greedy_mode(std::string_view name);
 
 struct GreedyResult {
   /// Indices into the candidate span, in selection order.

@@ -1,128 +1,157 @@
 #include "src/pdcs/candidate.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <cstdint>
 
 #include "src/util/error.hpp"
 
 namespace hipo::pdcs {
 
-CoverageMask::CoverageMask(std::size_t num_devices)
-    : words_((num_devices + 63) / 64, 0) {}
+namespace {
 
-void CoverageMask::set(std::size_t j) {
-  HIPO_ASSERT(j / 64 < words_.size());
-  words_[j / 64] |= std::uint64_t{1} << (j % 64);
-}
-
-bool CoverageMask::test(std::size_t j) const {
-  if (j / 64 >= words_.size()) return false;
-  return (words_[j / 64] >> (j % 64)) & 1;
-}
-
-bool CoverageMask::is_subset_of(const CoverageMask& other) const {
-  HIPO_ASSERT(words_.size() == other.words_.size());
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    if (words_[w] & ~other.words_[w]) return false;
+/// covered(a) ⊆ covered(b) and power(b, j) + eps >= power(a, j) for every j
+/// of a, by a merge walk over both ascending id lists. Both forms of
+/// dominance (Candidate and flat rows) run this one walk.
+template <typename Id>
+bool dominated_walk(const Id* a_ids, const double* a_powers, std::size_t na,
+                    const Id* b_ids, const double* b_powers, std::size_t nb,
+                    double eps) {
+  if (na > nb) return false;
+  std::size_t ib = 0;
+  for (std::size_t ia = 0; ia < na; ++ia) {
+    while (ib < nb && b_ids[ib] < a_ids[ia]) ++ib;
+    if (ib == nb || b_ids[ib] != a_ids[ia]) return false;
+    if (b_powers[ib] + eps < a_powers[ia]) return false;
   }
   return true;
 }
 
-std::size_t CoverageMask::count() const {
-  std::size_t total = 0;
-  for (auto w : words_) total += static_cast<std::size_t>(__builtin_popcountll(w));
-  return total;
-}
+}  // namespace
 
 bool dominated_by(const Candidate& a, const Candidate& b, double eps) {
-  if (a.covered.size() > b.covered.size()) return false;
-  // Merge-walk: every device of a must appear in b with >= power.
-  std::size_t ib = 0;
-  for (std::size_t ia = 0; ia < a.covered.size(); ++ia) {
-    while (ib < b.covered.size() && b.covered[ib] < a.covered[ia]) ++ib;
-    if (ib == b.covered.size() || b.covered[ib] != a.covered[ia]) return false;
-    if (b.powers[ib] + eps < a.powers[ia]) return false;
+  return dominated_walk(a.covered.data(), a.powers.data(), a.covered.size(),
+                        b.covered.data(), b.powers.data(), b.covered.size(),
+                        eps);
+}
+
+void CoverRows::clear() {
+  rows.clear();
+  ids.clear();
+  powers.clear();
+}
+
+void CoverRows::begin_row() {
+  HIPO_ASSERT(ids.size() <= UINT32_MAX);
+  rows.push_back({static_cast<std::uint32_t>(ids.size()), 0, 0.0});
+}
+
+void CoverRows::push(std::uint32_t id, double power) {
+  Row& row = rows.back();
+  ids.push_back(id);
+  powers.push_back(power);
+  ++row.count;
+  row.total += power;
+}
+
+std::span<const std::uint32_t> DominanceFilter::run(const CoverRows& in,
+                                                    std::size_t universe) {
+  // Sort by decreasing coverage size, then decreasing total power: a row
+  // can only be dominated by one at or before it in this order. The row
+  // index makes the order strict, so the outcome does not depend on the
+  // sort algorithm.
+  HIPO_ASSERT(in.rows.size() <= UINT32_MAX);
+  keys_.clear();
+  for (std::size_t r = 0; r < in.rows.size(); ++r) {
+    keys_.push_back({in.rows[r].count, static_cast<std::uint32_t>(r),
+                     in.rows[r].total});
   }
-  return true;
+  std::sort(keys_.begin(), keys_.end(), [](const Key& x, const Key& y) {
+    if (x.size != y.size) return x.size > y.size;
+    if (x.total != y.total) return x.total > y.total;
+    return x.index < y.index;
+  });
+
+  // Masks are fixed-width over the id universe. Inverted id→kept-row index,
+  // grown as survivors are admitted: a dominator must cover *every* id of
+  // the row, so it is enough to test the kept rows covering the row's
+  // least-popular id. Pairs with non-overlapping coverage never reach the
+  // mask test, and the outcome is existential, so it equals a scan of all
+  // kept rows.
+  const std::size_t words = (universe + 63) / 64;
+  mask_.assign(words, 0);
+  kept_masks_.clear();
+  if (kept_by_id_.size() < universe) kept_by_id_.resize(universe);
+  for (std::size_t j = 0; j < universe; ++j) kept_by_id_[j].clear();
+  kept_.clear();
+  for (const Key& key : keys_) {
+    if (key.size == 0) continue;
+    const CoverRows::Row& row = in.rows[key.index];
+    const std::uint32_t* ids = in.ids.data() + row.offset;
+    std::fill(mask_.begin(), mask_.end(), 0);
+    std::uint32_t rarest = ids[0];
+    for (std::uint32_t k = 0; k < row.count; ++k) {
+      const std::uint32_t j = ids[k];
+      HIPO_ASSERT(j < universe);
+      mask_[j / 64] |= std::uint64_t{1} << (j % 64);
+      if (kept_by_id_[j].size() < kept_by_id_[rarest].size()) rarest = j;
+    }
+    bool dominated = false;
+    for (std::uint32_t k : kept_by_id_[rarest]) {
+      const std::uint64_t* other = kept_masks_.data() + k * words;
+      bool subset = true;
+      for (std::size_t w = 0; w < words && subset; ++w) {
+        subset = (mask_[w] & ~other[w]) == 0;
+      }
+      if (!subset) continue;
+      const CoverRows::Row& by = in.rows[kept_[k]];
+      if (dominated_walk(ids, in.powers.data() + row.offset, row.count,
+                         in.ids.data() + by.offset,
+                         in.powers.data() + by.offset, by.count, 1e-12)) {
+        dominated = true;
+        break;
+      }
+    }
+    if (dominated) continue;
+    const auto id = static_cast<std::uint32_t>(kept_.size());
+    for (std::uint32_t k = 0; k < row.count; ++k) {
+      kept_by_id_[ids[k]].push_back(id);
+    }
+    kept_.push_back(key.index);
+    kept_masks_.insert(kept_masks_.end(), mask_.begin(), mask_.end());
+  }
+  return kept_;
 }
 
 std::vector<std::size_t> filter_dominated_indices(
     std::span<const Candidate* const> candidates, std::size_t num_devices) {
-  // Sort by decreasing coverage size, then decreasing total power: a
-  // candidate can only be dominated by one at or before it in this order.
-  std::vector<std::size_t> order(candidates.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::vector<double> total_power(candidates.size(), 0.0);
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    HIPO_ASSERT(candidates[i] != nullptr);
-    for (double p : candidates[i]->powers) total_power[i] += p;
-  }
-  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    if (candidates[x]->covered.size() != candidates[y]->covered.size())
-      return candidates[x]->covered.size() > candidates[y]->covered.size();
-    if (total_power[x] != total_power[y]) return total_power[x] > total_power[y];
-    return x < y;
-  });
-
   // Dense local universe: the distinct devices actually covered by this
-  // pool. Masks and the inverted index are sized by it instead of
-  // `num_devices`, so a per-task filter over a handful of devices costs
-  // O(pool), not O(total devices) — extract_all calls this once per device
-  // task, and sizing by the global count made extraction quadratic in the
-  // scenario. Subset tests and the rarest-device probe are invariant under
-  // the (order-preserving) remap, so the survivor set is unchanged.
+  // pool, so masks and the inverted index are sized by the pool and not by
+  // `num_devices`. Subset tests and the rarest-device probe are invariant
+  // under the order-preserving remap, so the survivor set is unchanged.
   std::vector<std::size_t> universe;
   for (const Candidate* c : candidates) {
+    HIPO_ASSERT(c != nullptr);
     universe.insert(universe.end(), c->covered.begin(), c->covered.end());
   }
   std::sort(universe.begin(), universe.end());
   universe.erase(std::unique(universe.begin(), universe.end()),
                  universe.end());
-  const auto local_id = [&](std::size_t j) {
-    HIPO_ASSERT(j < num_devices);
-    return static_cast<std::size_t>(
-        std::lower_bound(universe.begin(), universe.end(), j) -
-        universe.begin());
-  };
+  HIPO_ASSERT(universe.empty() || universe.back() < num_devices);
 
-  std::vector<std::size_t> kept;
-  std::vector<CoverageMask> kept_masks;
-  // Inverted device→kept-candidate index, grown as survivors are admitted.
-  // A dominator must cover *every* device of `cand`, so it is enough to
-  // test the kept candidates covering cand's least-popular covered device:
-  // pairs with non-overlapping coverage never reach the O(words) mask test,
-  // and the scan shrinks from |kept| to the shortest inverted list. The
-  // lists are appended in kept order, so the existential outcome (and thus
-  // the survivor set) is identical to the full scan.
-  std::vector<std::vector<std::uint32_t>> kept_by_device(universe.size());
-  std::vector<std::size_t> local;
-  for (std::size_t idx : order) {
-    const Candidate& cand = *candidates[idx];
-    if (cand.covers_nothing()) continue;
-    local.clear();
-    for (std::size_t j : cand.covered) local.push_back(local_id(j));
-    CoverageMask mask(universe.size());
-    for (std::size_t j : local) mask.set(j);
-    std::size_t rarest = local.front();
-    for (std::size_t j : local) {
-      if (kept_by_device[j].size() < kept_by_device[rarest].size()) rarest = j;
-    }
-    bool dominated = false;
-    for (std::uint32_t k : kept_by_device[rarest]) {
-      if (!mask.is_subset_of(kept_masks[k])) continue;
-      if (dominated_by(cand, *candidates[kept[k]])) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) {
-      const auto id = static_cast<std::uint32_t>(kept.size());
-      for (std::size_t j : local) kept_by_device[j].push_back(id);
-      kept.push_back(idx);
-      kept_masks.push_back(std::move(mask));
+  CoverRows flat;
+  flat.rows.reserve(candidates.size());
+  for (const Candidate* c : candidates) {
+    flat.begin_row();
+    for (std::size_t k = 0; k < c->covered.size(); ++k) {
+      const auto local = std::lower_bound(universe.begin(), universe.end(),
+                                          c->covered[k]) -
+                         universe.begin();
+      flat.push(static_cast<std::uint32_t>(local), c->powers[k]);
     }
   }
-  return kept;
+  DominanceFilter filter;
+  const auto kept = filter.run(flat, universe.size());
+  return {kept.begin(), kept.end()};
 }
 
 std::vector<Candidate> filter_dominated(std::vector<Candidate> candidates,

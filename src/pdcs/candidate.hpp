@@ -29,28 +29,66 @@ struct Candidate {
   bool covers_nothing() const { return covered.empty(); }
 };
 
-/// Bitmask over device indices for fast subset tests.
-class CoverageMask {
- public:
-  explicit CoverageMask(std::size_t num_devices);
-  void set(std::size_t j);
-  bool test(std::size_t j) const;
-  bool is_subset_of(const CoverageMask& other) const;
-  std::size_t count() const;
-
- private:
-  std::vector<std::uint64_t> words_;
-};
-
 /// True iff `a` is dominated by (or equivalent to and ranked after) `b`:
 /// covered(a) ⊆ covered(b) with power(b, j) >= power(a, j) − eps for every
 /// j covered by a. Candidates must share a charger type for the comparison
 /// to be meaningful; the caller guarantees it.
 bool dominated_by(const Candidate& a, const Candidate& b, double eps = 1e-12);
 
+/// Covered sets in flat form, the input of the dominance core. Row r covers
+/// ids[offset, offset + count) — ascending ids of an order-preserving remap
+/// of device indices onto [0, universe) — with the parallel `powers`;
+/// `total` is the sum of those powers in covered order, starting from 0.0.
+struct CoverRows {
+  struct Row {
+    std::uint32_t offset;
+    std::uint32_t count;
+    double total;
+  };
+  std::vector<Row> rows;
+  std::vector<std::uint32_t> ids;
+  std::vector<double> powers;
+
+  std::size_t size() const { return rows.size(); }
+  void clear();
+  /// Opens an empty row at the end of ids/powers; push() appends an entry
+  /// to it (ascending ids) and adds the power to its total.
+  void begin_row();
+  void push(std::uint32_t id, double power);
+};
+
+/// The dominance filter (Algorithm 2 step 9 / Algorithm 4 step 11) over
+/// flat rows, with scratch reused across calls. Every filter in extraction
+/// runs here: the per-task filter on a task's sweep arena, and
+/// filter_dominated / filter_dominated_indices through flat copies.
+/// Not thread-safe; one per task.
+class DominanceFilter {
+ public:
+  /// Survivors of `in` (ids < `universe`) as row indices, in survivor order:
+  /// rows sorted by size descending, total descending, then row index, each
+  /// kept unless dominated_by (ε = 1e-12) one of the rows kept before it.
+  /// Empty rows are dropped. Valid until the next call.
+  std::span<const std::uint32_t> run(const CoverRows& in,
+                                     std::size_t universe);
+
+ private:
+  struct Key {
+    std::uint32_t size;
+    std::uint32_t index;
+    double total;
+  };
+  std::vector<Key> keys_;
+  std::vector<std::uint64_t> mask_;
+  std::vector<std::uint64_t> kept_masks_;
+  std::vector<std::vector<std::uint32_t>> kept_by_id_;
+  std::vector<std::uint32_t> kept_;
+};
+
 /// Remove dominated candidates (Algorithm 2 step 9 / Algorithm 4 step 11).
 /// Also removes exact duplicates. Stable in the sense that survivors keep
-/// their relative order of first appearance among equals.
+/// their relative order of first appearance among equals. An adapter: the
+/// covered ids are remapped onto the distinct devices the pool touches and
+/// the rows go through DominanceFilter.
 std::vector<Candidate> filter_dominated(std::vector<Candidate> candidates,
                                         std::size_t num_devices);
 

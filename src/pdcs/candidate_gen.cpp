@@ -1,8 +1,9 @@
 #include "src/pdcs/candidate_gen.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
-#include <unordered_set>
+#include <cstdint>
 
 #include "src/geometry/angles.hpp"
 #include "src/geometry/circle.hpp"
@@ -16,39 +17,112 @@ using geom::Circle;
 using geom::Segment;
 using geom::Vec2;
 
-std::vector<double> ring_radii(const model::Scenario& scenario, std::size_t q,
-                               std::size_t j) {
-  const auto& lad = scenario.ladder_for_device(q, j);
-  std::vector<double> radii;
-  radii.reserve(lad.num_rings() + 1);
-  radii.push_back(lad.d_min());
-  for (double r : lad.outer_radii()) radii.push_back(r);
-  return radii;
-}
-
 namespace {
 
-/// Deduplicating position collector with feasibility and range filters.
+/// Ring boundary radii of device j w.r.t. charger type q into `radii`.
+void ring_radii_into(const model::Scenario& scenario, std::size_t q,
+                     std::size_t j, std::vector<double>& radii) {
+  const auto& lad = scenario.ladder_for_device(q, j);
+  radii.clear();
+  radii.push_back(lad.d_min());
+  for (double r : lad.outer_radii()) radii.push_back(r);
+}
+
+/// Set of 64-bit keys with O(1) clear: open addressing over slots stamped
+/// with a generation, so clearing bumps the generation and one table serves
+/// every pair of a task.
+class KeySet {
+ public:
+  void clear() {
+    size_ = 0;
+    if (++generation_ == 0) {
+      for (Slot& slot : slots_) slot.generation = 0;
+      generation_ = 1;
+    }
+  }
+
+  bool contains(std::uint64_t key) const {
+    if (slots_.empty()) return false;
+    for (std::size_t h = home(key);; h = (h + 1) & (slots_.size() - 1)) {
+      const Slot& slot = slots_[h];
+      if (slot.generation != generation_) return false;
+      if (slot.key == key) return true;
+    }
+  }
+
+  /// Inserts a key that is not in the set.
+  void insert(std::uint64_t key) {
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    place(key);
+    ++size_;
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t key = 0;
+    std::uint32_t generation = 0;
+  };
+
+  std::size_t home(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) &
+           (slots_.size() - 1);
+  }
+
+  void place(std::uint64_t key) {
+    std::size_t h = home(key);
+    while (slots_[h].generation == generation_) {
+      h = (h + 1) & (slots_.size() - 1);
+    }
+    slots_[h] = {key, generation_};
+  }
+
+  void grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(std::max<std::size_t>(64, 2 * old.size()), Slot{});
+    for (const Slot& slot : old) {
+      if (slot.generation == generation_) place(slot.key);
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+  std::uint32_t generation_ = 1;
+};
+
+/// Deduplicating position collector with feasibility and range filters. It
+/// appends to a caller-owned buffer and is reset per construction (one pair
+/// or one singleton), so its dedup set is per construction.
 class PositionSink {
  public:
-  PositionSink(const model::Scenario& scenario, Vec2 anchor_a, Vec2 anchor_b,
-               double range)
-      : scenario_(scenario), a_(anchor_a), b_(anchor_b), range_(range) {}
+  explicit PositionSink(const model::Scenario& scenario)
+      : scenario_(scenario) {}
+
+  void reset(Vec2 anchor_a, Vec2 anchor_b, double range,
+             std::vector<Vec2>& out) {
+    a_ = anchor_a;
+    b_ = anchor_b;
+    range_ = range;
+    out_ = &out;
+    seen_.clear();
+  }
 
   void add(Vec2 p) {
     if (geom::distance(p, a_) > range_ + geom::kCoverEps &&
         geom::distance(p, b_) > range_ + geom::kCoverEps)
       return;
-    if (!scenario_.position_feasible(p)) return;
+    // Only feasible positions enter the set, and a seen key drops p whether
+    // or not p is feasible, so testing the set first changes nothing but
+    // skips the feasibility test for duplicates.
     const auto key = quantize(p);
-    if (seen_.insert(key).second) positions_.push_back(p);
+    if (seen_.contains(key)) return;
+    if (!scenario_.position_feasible(p)) return;
+    seen_.insert(key);
+    out_->push_back(p);
   }
 
   void add_all(const std::vector<Vec2>& ps) {
     for (Vec2 p : ps) add(p);
   }
-
-  std::vector<Vec2> take() { return std::move(positions_); }
 
  private:
   static std::uint64_t quantize(Vec2 p) {
@@ -67,9 +141,25 @@ class PositionSink {
   const model::Scenario& scenario_;
   Vec2 a_;
   Vec2 b_;
-  double range_;
-  std::unordered_set<std::uint64_t> seen_;
-  std::vector<Vec2> positions_;
+  double range_ = 0.0;
+  std::vector<Vec2>* out_ = nullptr;
+  KeySet seen_;
+};
+
+/// Buffers of the position constructions, owned by one task (or one call of
+/// the public wrappers) and reused across its pairs.
+struct PositionScratch {
+  explicit PositionScratch(const model::Scenario& scenario) : sink(scenario) {}
+
+  PositionSink sink;
+  /// ring_radii of the task's anchor i (set once per charger type).
+  std::vector<double> ri;
+  std::vector<double> rj;
+  /// Singleton directions.
+  std::vector<double> dirs;
+  std::vector<std::size_t> polygons;
+  std::vector<Segment> edges;
+  std::vector<Circle> circles;
 };
 
 /// Axis-aligned box covering the disks of `range` around both anchors.
@@ -80,14 +170,15 @@ geom::BBox anchor_box(Vec2 a, Vec2 b, double range) {
   return box;
 }
 
-/// Obstacle edges within `range` of either anchor. The obstacle index
-/// prunes to polygons near the anchors; the exact per-edge distance filter
+/// Obstacle edges of `polygons` (the obstacle index's hits for the anchor
+/// box) within `range` of either anchor. The exact per-edge distance filter
 /// (and hence the resulting edge list and its order) matches the full scan.
-std::vector<Segment> nearby_obstacle_edges(const model::Scenario& scenario,
-                                           Vec2 a, Vec2 b, double range) {
+void nearby_obstacle_edges(const model::Scenario& scenario,
+                           const std::vector<std::size_t>& polygons, Vec2 a,
+                           Vec2 b, double range, std::vector<Segment>& edges) {
   const auto& index = scenario.obstacle_index();
-  std::vector<Segment> edges;
-  for (std::size_t pi : index.polygons_in_box(anchor_box(a, b, range))) {
+  edges.clear();
+  for (std::size_t pi : polygons) {
     const auto& h = index.polygons()[pi];
     for (std::size_t e = 0; e < h.size(); ++e) {
       const Segment seg = h.edge(e);
@@ -97,27 +188,32 @@ std::vector<Segment> nearby_obstacle_edges(const model::Scenario& scenario,
       }
     }
   }
-  return edges;
 }
 
-}  // namespace
-
-std::vector<Vec2> pair_candidate_positions(const model::Scenario& scenario,
-                                           std::size_t q, std::size_t i,
-                                           std::size_t j,
-                                           const ExtractOptions& opt) {
+/// pair_candidate_positions, appended to `out`; scratch.ri must hold
+/// ring_radii(scenario, q, i).
+void append_pair_positions(const model::Scenario& scenario, std::size_t q,
+                           std::size_t i, std::size_t j,
+                           const ExtractOptions& opt, PositionScratch& scratch,
+                           std::vector<Vec2>& out) {
   const Vec2 oi = scenario.device(i).pos;
   const Vec2 oj = scenario.device(j).pos;
   const auto& ct = scenario.charger_type(q);
-  PositionSink sink(scenario, oi, oj, ct.d_max);
+  PositionSink& sink = scratch.sink;
+  sink.reset(oi, oj, ct.d_max, out);
 
-  const std::vector<double> ri = ring_radii(scenario, q, i);
-  const std::vector<double> rj = ring_radii(scenario, q, j);
-  const auto edges = nearby_obstacle_edges(scenario, oi, oj, ct.d_max);
+  const std::vector<double>& ri = scratch.ri;
+  std::vector<double>& rj = scratch.rj;
+  ring_radii_into(scenario, q, j, rj);
+  const auto& index = scenario.obstacle_index();
+  scratch.polygons = index.polygons_in_box(anchor_box(oi, oj, ct.d_max));
+  const std::vector<Segment>& edges = scratch.edges;
+  nearby_obstacle_edges(scenario, scratch.polygons, oi, oj, ct.d_max,
+                        scratch.edges);
 
   // Ring circles of both devices.
-  std::vector<Circle> circles;
-  circles.reserve(ri.size() + rj.size());
+  std::vector<Circle>& circles = scratch.circles;
+  circles.clear();
   for (double r : ri)
     if (r > geom::kEps) circles.emplace_back(oi, r);
   for (double r : rj)
@@ -181,9 +277,7 @@ std::vector<Vec2> pair_candidate_positions(const model::Scenario& scenario,
         sink.add_all(geom::circle_segment_intersections(c, e));
       }
     }
-    const auto& index = scenario.obstacle_index();
-    for (std::size_t pi :
-         index.polygons_in_box(anchor_box(oi, oj, ct.d_max))) {
+    for (std::size_t pi : scratch.polygons) {
       const auto& h = index.polygons()[pi];
       for (const Vec2& v : h.vertices()) {
         for (int anchor = 0; anchor < 2; ++anchor) {
@@ -200,23 +294,27 @@ std::vector<Vec2> pair_candidate_positions(const model::Scenario& scenario,
       }
     }
   }
-
-  return sink.take();
 }
 
-std::vector<Vec2> singleton_candidate_positions(
-    const model::Scenario& scenario, std::size_t q, std::size_t i,
-    const ExtractOptions& opt) {
+/// singleton_candidate_positions, appended to `out`; scratch.ri must hold
+/// ring_radii(scenario, q, i).
+void append_singleton_positions(const model::Scenario& scenario,
+                                std::size_t q, std::size_t i,
+                                const ExtractOptions& opt,
+                                PositionScratch& scratch,
+                                std::vector<Vec2>& out) {
   const auto& dev = scenario.device(i);
   const auto& ct = scenario.charger_type(q);
-  PositionSink sink(scenario, dev.pos, dev.pos, ct.d_max);
+  PositionSink& sink = scratch.sink;
+  sink.reset(dev.pos, dev.pos, ct.d_max, out);
 
   // Directions: evenly spaced azimuths across the receiving sector
   // (boundaries included) plus obstacle-vertex (hole boundary) directions
   // within range.
   const double alpha_o = scenario.device_type(dev.type).angle;
   const int n_az = std::max(2, opt.singleton_azimuths);
-  std::vector<double> dirs;
+  std::vector<double>& dirs = scratch.dirs;
+  dirs.clear();
   if (alpha_o >= geom::kTwoPi) {
     for (int k = 0; k < n_az; ++k) {
       dirs.push_back(geom::kTwoPi * static_cast<double>(k) / n_az);
@@ -238,13 +336,64 @@ std::vector<Vec2> singleton_candidate_positions(
     }
   }
 
-  for (double r : ring_radii(scenario, q, i)) {
+  for (double r : scratch.ri) {
     if (r <= geom::kEps) continue;
     for (double a : dirs) {
       sink.add(dev.pos + geom::unit_vector(a) * r);
     }
   }
-  return sink.take();
+}
+
+/// Seconds between stage boundaries, with the clock read only when on.
+class StageClock {
+ public:
+  explicit StageClock(bool on) : on_(on) {
+    if (on_) last_ = Clock::now();
+  }
+
+  /// Seconds since the previous lap (or construction); 0 when off.
+  double lap() {
+    if (!on_) return 0.0;
+    const Clock::time_point now = Clock::now();
+    const double seconds = std::chrono::duration<double>(now - last_).count();
+    last_ = now;
+    return seconds;
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+  bool on_;
+  Clock::time_point last_;
+};
+
+}  // namespace
+
+std::vector<double> ring_radii(const model::Scenario& scenario, std::size_t q,
+                               std::size_t j) {
+  std::vector<double> radii;
+  ring_radii_into(scenario, q, j, radii);
+  return radii;
+}
+
+std::vector<Vec2> pair_candidate_positions(const model::Scenario& scenario,
+                                           std::size_t q, std::size_t i,
+                                           std::size_t j,
+                                           const ExtractOptions& opt) {
+  PositionScratch scratch(scenario);
+  ring_radii_into(scenario, q, i, scratch.ri);
+  std::vector<Vec2> out;
+  append_pair_positions(scenario, q, i, j, opt, scratch, out);
+  return out;
+}
+
+std::vector<Vec2> singleton_candidate_positions(
+    const model::Scenario& scenario, std::size_t q, std::size_t i,
+    const ExtractOptions& opt) {
+  PositionScratch scratch(scenario);
+  ring_radii_into(scenario, q, i, scratch.ri);
+  std::vector<Vec2> out;
+  append_singleton_positions(scenario, q, i, opt, scratch, out);
+  return out;
 }
 
 std::vector<Candidate> extract_device_task(const model::Scenario& scenario,
@@ -253,42 +402,75 @@ std::vector<Candidate> extract_device_task(const model::Scenario& scenario,
                                            const ExtractOptions& opt) {
   std::vector<Candidate> out;
   const Vec2 oi = scenario.device(i).pos;
-  // One sweep for the whole task: it gates each position's pool once, so a
-  // line-of-sight memo would rarely hit and is not used.
+  // Task-owned scratch, reused across charger types and positions (no
+  // shared state, so tasks run in parallel freely). One sweep gates each
+  // position's pool once, so a line-of-sight memo would rarely hit and is
+  // not used.
+  PositionScratch scratch(scenario);
+  std::vector<Vec2> positions;
+  spatial::Neighborhood hood;
   PointSweep sweep(scenario);
+  SweepArena arena;
+  DominanceFilter filter;
+
+  const bool timed = obs::metrics_enabled();
+  StageClock clock(timed);
+  double positions_s = 0.0, sweep_s = 0.0, filter_s = 0.0;
+  std::uint64_t num_positions = 0;
 
   for (std::size_t q = 0; q < scenario.num_charger_types(); ++q) {
     const auto& ct = scenario.charger_type(q);
     // Neighbor set O^k_i: devices within 2·d^k_max (Algorithm 4 step 1).
     const auto neighbors = devices.query_radius(oi, 2.0 * ct.d_max);
 
-    std::vector<Vec2> positions;
+    positions.clear();
+    ring_radii_into(scenario, q, i, scratch.ri);
     if (opt.use_singleton) {
-      auto single = singleton_candidate_positions(scenario, q, i, opt);
-      positions.insert(positions.end(), single.begin(), single.end());
+      append_singleton_positions(scenario, q, i, opt, scratch, positions);
     }
     for (std::size_t j : neighbors) {
       if (j <= i) continue;  // larger indices only — no duplicate tasks
-      auto pts = pair_candidate_positions(scenario, q, i, j, opt);
-      positions.insert(positions.end(), pts.begin(), pts.end());
+      append_pair_positions(scenario, q, i, j, opt, scratch, positions);
     }
+    num_positions += positions.size();
+    positions_s += clock.lap();
 
-    std::vector<Candidate> type_candidates;
-    for (Vec2 p : positions) {
-      // Pool: devices within charging range of the position (exact pool for
-      // the rotational sweep; sorted by GridIndex contract).
-      const auto pool = devices.query_radius(p, ct.d_max + geom::kCoverEps);
-      sweep.run(q, p, pool, type_candidates);
+    // Pools: devices within charging range of each position (the exact,
+    // sorted query_radius pool), scanned out of one neighborhood of o_i
+    // that reaches every position's pool.
+    const double range = ct.d_max + geom::kCoverEps;
+    double reach = 0.0;
+    for (Vec2 p : positions) reach = std::max(reach, geom::distance(p, oi));
+    arena.clear();
+    if (!positions.empty()) {
+      hood.fetch(devices, oi, reach, range);
+      for (Vec2 p : positions) {
+        hood.within(p, range);
+        sweep.run(q, p, hood.pool(), hood.local(), arena);
+      }
     }
-    auto filtered =
-        filter_dominated(std::move(type_candidates), scenario.num_devices());
-    for (auto& c : filtered) out.push_back(std::move(c));
+    sweep_s += clock.lap();
+
+    if (arena.size() != 0) {
+      for (std::uint32_t r : filter.run(arena.cover, hood.size())) {
+        out.push_back(arena.candidate(r, hood.points()));
+      }
+    }
+    filter_s += clock.lap();
   }
-  if (obs::metrics_enabled()) [[unlikely]] {
+  if (timed) [[unlikely]] {
     static obs::Counter& swept = obs::counter("extract.point_orientations");
     static obs::Counter& kept = obs::counter("extract.point_rows_kept");
+    static obs::Counter& generated = obs::counter("extract.positions");
+    static obs::Accum& positions_acc = obs::accum("extract.positions_s");
+    static obs::Accum& sweep_acc = obs::accum("extract.sweep_s");
+    static obs::Accum& filter_acc = obs::accum("extract.task_filter_s");
     swept.bump(sweep.orientations());
     kept.bump(sweep.rows_kept());
+    generated.bump(num_positions);
+    positions_acc.add(positions_s);
+    sweep_acc.add(sweep_s);
+    filter_acc.add(filter_s);
   }
   return out;
 }

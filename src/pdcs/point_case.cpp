@@ -2,20 +2,55 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "src/geometry/angles.hpp"
+#include "src/util/error.hpp"
 
 namespace hipo::pdcs {
 
 using geom::Vec2;
 using model::Strategy;
 
+namespace {
+
+/// Ids 0..n-1: each pool entry stands for itself (its index in the pool).
+std::vector<std::uint32_t> pool_positions(std::size_t n) {
+  std::vector<std::uint32_t> ids(n);
+  std::iota(ids.begin(), ids.end(), std::uint32_t{0});
+  return ids;
+}
+
+}  // namespace
+
+void SweepArena::clear() {
+  cover.clear();
+  strategies.clear();
+}
+
+Candidate SweepArena::candidate(std::size_t r,
+                                std::span<const std::size_t> devices) const {
+  const CoverRows::Row& row = cover.rows[r];
+  Candidate cand;
+  cand.strategy = strategies[r];
+  cand.covered.reserve(row.count);
+  for (std::uint32_t k = 0; k < row.count; ++k) {
+    cand.covered.push_back(devices[cover.ids[row.offset + k]]);
+  }
+  cand.powers.assign(cover.powers.begin() + row.offset,
+                     cover.powers.begin() + row.offset + row.count);
+  return cand;
+}
+
 std::span<const PointSweep::DeviceRow> PointSweep::gate(
-    std::size_t charger_type, Vec2 pos, std::span<const std::size_t> pool) {
+    std::size_t charger_type, Vec2 pos, std::span<const std::size_t> pool,
+    std::span<const std::uint32_t> ids) {
+  HIPO_ASSERT(ids.size() == pool.size());
   const model::Scenario& scenario = *scenario_;
   const auto& ct = scenario.charger_type(charger_type);
   rows_.clear();
-  for (std::size_t j : pool) {
+  for (std::size_t k = 0; k < pool.size(); ++k) {
+    const std::size_t j = pool[k];
     const auto& dev = scenario.device(j);
     const Vec2 so = dev.pos - pos;
     const double d = so.norm();
@@ -33,7 +68,7 @@ std::span<const PointSweep::DeviceRow> PointSweep::gate(
                                        : scenario.line_of_sight(pos, dev.pos);
     if (!los) continue;
     const double bearing = so.angle();
-    rows_.push_back({j, bearing, geom::norm_angle(bearing), ang_eps,
+    rows_.push_back({j, ids[k], bearing, geom::norm_angle(bearing), ang_eps,
                      scenario.approx_power_from_distance(charger_type, j, d)});
   }
   return rows_;
@@ -41,9 +76,9 @@ std::span<const PointSweep::DeviceRow> PointSweep::gate(
 
 void PointSweep::run(std::size_t charger_type, Vec2 pos,
                      std::span<const std::size_t> pool,
-                     std::vector<Candidate>& out) {
+                     std::span<const std::uint32_t> ids, SweepArena& out) {
   if (!scenario_->position_feasible(pos)) return;
-  gate(charger_type, pos, pool);
+  gate(charger_type, pos, pool, ids);
   if (rows_.empty()) return;
 
   const double alpha = scenario_->charger_type(charger_type).angle;
@@ -124,18 +159,14 @@ void PointSweep::run(std::size_t charger_type, Vec2 pos,
     if (dominated) continue;
     kept_.push_back(s);
 
-    Candidate cand;
-    cand.strategy =
-        Strategy{pos, orientations_at_[sets_[s].orientation], charger_type};
-    cand.covered.reserve(sets_[s].size);
-    cand.powers.reserve(sets_[s].size);
+    out.strategies.push_back(
+        Strategy{pos, orientations_at_[sets_[s].orientation], charger_type});
+    out.cover.begin_row();
     for (std::size_t r = 0; r < rows_.size(); ++r) {
       if ((mask[r / 64] >> (r % 64)) & 1) {
-        cand.covered.push_back(rows_[r].device);
-        cand.powers.push_back(rows_[r].power);
+        out.cover.push(rows_[r].id, rows_[r].power);
       }
     }
-    out.push_back(std::move(cand));
   }
   rows_kept_ += kept_.size();
 }
@@ -147,7 +178,8 @@ std::vector<std::size_t> orientable_covers(const model::Scenario& scenario,
                                            model::LosCache* cache) {
   PointSweep sweep(scenario, cache);
   std::vector<std::size_t> out;
-  for (const auto& row : sweep.gate(charger_type, pos, pool)) {
+  for (const auto& row :
+       sweep.gate(charger_type, pos, pool, pool_positions(pool.size()))) {
     out.push_back(row.device);
   }
   return out;
@@ -158,8 +190,13 @@ std::vector<Candidate> extract_point_case(const model::Scenario& scenario,
                                           std::span<const std::size_t> pool,
                                           model::LosCache* cache) {
   PointSweep sweep(scenario, cache);
+  SweepArena arena;
+  sweep.run(charger_type, pos, pool, pool_positions(pool.size()), arena);
   std::vector<Candidate> out;
-  sweep.run(charger_type, pos, pool, out);
+  out.reserve(arena.size());
+  for (std::size_t r = 0; r < arena.size(); ++r) {
+    out.push_back(arena.candidate(r, pool));
+  }
   return out;
 }
 

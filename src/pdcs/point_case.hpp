@@ -26,16 +26,32 @@
 
 namespace hipo::pdcs {
 
+/// The rows a sweep emits: their covered sets in flat form, carrying the
+/// ids the caller gave the pool devices, and each row's strategy (parallel
+/// to cover.rows).
+struct SweepArena {
+  CoverRows cover;
+  std::vector<model::Strategy> strategies;
+
+  std::size_t size() const { return strategies.size(); }
+  void clear();
+  /// Row r as a Candidate; an id k stands for device `devices[k]`.
+  Candidate candidate(std::size_t r,
+                      std::span<const std::size_t> devices) const;
+};
+
 /// Algorithm 1 with reusable per-position scratch: a task that sweeps many
-/// positions (extract_device_task) allocates once, and the sweep tallies
-/// the rows into and out of its point-local dominance filter. Not
-/// thread-safe; one per task.
+/// positions (extract_device_task) allocates nothing per position once its
+/// buffers have grown, and the sweep tallies the rows into and out of its
+/// point-local dominance filter. Not thread-safe; one per task.
 class PointSweep {
  public:
   /// One pool device that a type-q charger at the gated position covers
   /// under some orientation.
   struct DeviceRow {
     std::size_t device;
+    /// The caller's id for `device` (parallel entry of `ids`).
+    std::uint32_t id;
     /// Raw bearing (device − position).angle(), in (−π, π].
     double bearing;
     /// norm_angle(bearing), in [0, 2π).
@@ -52,15 +68,19 @@ class PointSweep {
                       model::LosCache* cache = nullptr)
       : scenario_(&scenario), cache_(cache) {}
 
-  /// The device table at `pos`: every device of `pool`, in pool order, that
-  /// passes all Eq. (1) conditions except the charger's sector angle. Valid
-  /// until the next call on this sweep.
+  /// The device table at `pos`: every device of `pool` (ascending), in pool
+  /// order, that passes all Eq. (1) conditions except the charger's sector
+  /// angle. `ids` is parallel to `pool`. Valid until the next call.
   std::span<const DeviceRow> gate(std::size_t charger_type, geom::Vec2 pos,
-                                  std::span<const std::size_t> pool);
+                                  std::span<const std::size_t> pool,
+                                  std::span<const std::uint32_t> ids);
 
-  /// Appends extract_point_case(scenario, charger_type, pos, pool) to `out`.
+  /// Appends the rows of extract_point_case(scenario, charger_type, pos,
+  /// pool) to `out`, in the same order, with covered devices written as
+  /// their `ids` entries. Ids must rise with the pool's device indices.
   void run(std::size_t charger_type, geom::Vec2 pos,
-           std::span<const std::size_t> pool, std::vector<Candidate>& out);
+           std::span<const std::size_t> pool,
+           std::span<const std::uint32_t> ids, SweepArena& out);
 
   /// Non-empty orientation rows swept, and maximal sets emitted, by run().
   std::uint64_t orientations() const { return orientations_; }

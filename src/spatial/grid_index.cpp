@@ -92,4 +92,34 @@ std::vector<std::size_t> GridIndex::query_box(const BBox& box) const {
   return out;
 }
 
+void Neighborhood::fetch(const GridIndex& index, Vec2 center, double reach,
+                         double r) {
+  ids_ = index.query_radius(center, (reach + r) * (1.0 + 1e-9));
+  HIPO_ASSERT(ids_.size() <= UINT32_MAX);
+  xs_.clear();
+  ys_.clear();
+  for (std::size_t idx : ids_) {
+    xs_.push_back(index.points()[idx].x);
+    ys_.push_back(index.points()[idx].y);
+  }
+  if (pool_.size() < ids_.size()) {
+    pool_.resize(ids_.size());
+    local_.resize(ids_.size());
+  }
+  found_ = 0;
+}
+
+void Neighborhood::within(Vec2 p, double r) {
+  // Branch-free compaction: every point is written at the next free slot,
+  // which only advances on a hit (slot <= k, so the buffers never overflow).
+  const double r2 = r * r;
+  std::size_t n = 0;
+  for (std::size_t k = 0; k < ids_.size(); ++k) {
+    pool_[n] = ids_[k];
+    local_[n] = static_cast<std::uint32_t>(k);
+    n += distance2(Vec2{xs_[k], ys_[k]}, p) <= r2 ? 1 : 0;
+  }
+  found_ = n;
+}
+
 }  // namespace hipo::spatial

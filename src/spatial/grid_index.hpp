@@ -6,6 +6,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/geometry/polygon.hpp"
@@ -43,6 +45,47 @@ class GridIndex {
   double cell_w_ = 1.0;
   double cell_h_ = 1.0;
   std::vector<std::vector<std::size_t>> cells_;
+};
+
+/// A superset of an index's points, fetched with one query_radius around a
+/// center and held as SoA coordinates, that answers radius queries for
+/// centers near it by scanning: within(p, r) tests each point with
+/// query_radius's exact predicate `distance2(point, p) <= r * r`, so for any
+/// p at most `reach` from the center it finds exactly query_radius(p, r),
+/// in the same ascending order, with no sort and no allocation. Not
+/// thread-safe; one per task.
+class Neighborhood {
+ public:
+  /// Fetches every point within (reach + r) of `center`, padded by a
+  /// relative 1e-9 so that rounding in the distances cannot drop a point
+  /// that a within(p, r) with |p − center| <= reach accepts (triangle
+  /// inequality).
+  void fetch(const GridIndex& index, geom::Vec2 center, double reach,
+             double r);
+
+  /// Finds the fetched points within r of p; pool() and local() hold them
+  /// until the next call.
+  void within(geom::Vec2 p, double r);
+
+  /// The last within()'s points: ascending indices, as query_radius.
+  std::span<const std::size_t> pool() const { return {pool_.data(), found_}; }
+  /// Their positions in points() — an order-preserving remap of the
+  /// indices onto [0, size()).
+  std::span<const std::uint32_t> local() const {
+    return {local_.data(), found_};
+  }
+
+  /// The fetched indices, ascending.
+  std::span<const std::size_t> points() const { return ids_; }
+  std::size_t size() const { return ids_.size(); }
+
+ private:
+  std::vector<std::size_t> ids_;
+  std::vector<double> xs_;
+  std::vector<double> ys_;
+  std::vector<std::size_t> pool_;
+  std::vector<std::uint32_t> local_;
+  std::size_t found_ = 0;
 };
 
 }  // namespace hipo::spatial

@@ -6,9 +6,12 @@
 #include <numeric>
 
 #include "src/util/rng.hpp"
+#include "tests/extract_reference.hpp"
 
 namespace hipo::pdcs {
 namespace {
+
+using ref::CoverageMask;
 
 Candidate make_candidate(std::vector<std::size_t> covered,
                          std::vector<double> powers, std::size_t type = 0) {
@@ -249,6 +252,86 @@ TEST(FilterDominated, SparseUniverseMatchesReference) {
     EXPECT_EQ(fast[i].powers, reference[i].powers) << "survivor " << i;
   }
 }
+
+
+// The flat dominance core against the pointer-sort filter it replaced
+// (tests/extract_reference.hpp), on pools built to stress the order and the
+// ε-tolerant test: repeated sets with equal powers (equal totals, exact
+// duplicates), the same sets with powers nudged by fractions and multiples
+// of ε = 1e-12 (ε-dominance is not transitive, so the kept-only rule shows),
+// and subsets with more power per device. Survivors and their order must
+// match, through the index adapter and through DominanceFilter run directly
+// on flat rows — one filter reused across pools of different universes.
+class DominanceCoreTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(DominanceCoreTest, MatchesPointerSortReference) {
+  hipo::Rng rng(static_cast<std::uint64_t>(GetParam()) * 4099 + 17);
+  DominanceFilter reused;
+  for (int pool_round = 0; pool_round < 12; ++pool_round) {
+    const std::size_t num_devices = 1 + rng.below(pool_round % 3 == 0 ? 150 : 12);
+    std::vector<Candidate> input;
+    const int bases = 1 + static_cast<int>(rng.below(12));
+    for (int b = 0; b < bases; ++b) {
+      Candidate base;
+      for (std::size_t j = 0; j < num_devices; ++j) {
+        if (rng.uniform() < 0.35) {
+          base.covered.push_back(j);
+          base.powers.push_back(0.125 * static_cast<double>(1 + rng.below(3)));
+        }
+      }
+      input.push_back(base);
+      const int variants = static_cast<int>(rng.below(6));
+      for (int v = 0; v < variants; ++v) {
+        Candidate c = base;
+        switch (rng.below(4)) {
+          case 0:  // exact duplicate
+            break;
+          case 1:  // ε-near powers
+            for (double& p : c.powers) {
+              p += 1e-12 * (static_cast<double>(rng.below(5)) - 2.0) * 0.75;
+            }
+            break;
+          case 2:  // a subset with more power on one device
+            if (c.covered.size() > 1) {
+              const std::size_t drop = rng.below(c.covered.size());
+              c.covered.erase(c.covered.begin() + static_cast<long>(drop));
+              c.powers.erase(c.powers.begin() + static_cast<long>(drop));
+              c.powers[rng.below(c.powers.size())] += 0.125;
+            }
+            break;
+          default:  // an empty row
+            c.covered.clear();
+            c.powers.clear();
+            break;
+        }
+        input.push_back(std::move(c));
+      }
+    }
+    // Shuffle so equal keys arrive in mixed input order.
+    for (std::size_t k = input.size(); k > 1; --k) {
+      std::swap(input[k - 1], input[rng.below(k)]);
+    }
+
+    std::vector<const Candidate*> ptrs;
+    for (const auto& c : input) ptrs.push_back(&c);
+    const auto want = ref::filter_dominated_indices(ptrs, num_devices);
+    EXPECT_EQ(filter_dominated_indices(ptrs, num_devices), want)
+        << "round " << pool_round;
+
+    CoverRows flat;
+    for (const auto& c : input) {
+      flat.begin_row();
+      for (std::size_t k = 0; k < c.covered.size(); ++k) {
+        flat.push(static_cast<std::uint32_t>(c.covered[k]), c.powers[k]);
+      }
+    }
+    const auto kept = reused.run(flat, num_devices);
+    EXPECT_EQ(std::vector<std::size_t>(kept.begin(), kept.end()), want)
+        << "round " << pool_round;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Random, DominanceCoreTest, ::testing::Range(0, 20));
 
 }  // namespace
 }  // namespace hipo::pdcs

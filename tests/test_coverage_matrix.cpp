@@ -477,6 +477,22 @@ TEST(CoverageMatrixPatch, TombstonedMatrixNeverEqualsAClean) {
   EXPECT_FALSE(b.same_as(a));
 }
 
+// Empty arenas may have a null data(); same_as must not hand it to memcmp
+// (undefined even for size 0 — a -fno-sanitize-recover UBSan build aborts).
+TEST(CoverageMatrixPatch, EmptyMatricesCompareEqual) {
+  const opt::CoverageMatrix a;
+  const opt::CoverageMatrix b;
+  EXPECT_TRUE(a.same_as(b));
+  const std::vector<pdcs::Candidate> none;
+  const opt::CoverageMatrix c(none, 3);
+  const opt::CoverageMatrix d(none, 3);
+  EXPECT_TRUE(c.same_as(d));
+  const opt::CoverageMatrix e(std::vector<pdcs::Candidate>{patch_cand({0}, 1.0)},
+                              3);
+  EXPECT_FALSE(c.same_as(e));
+  EXPECT_FALSE(e.same_as(c));
+}
+
 // End-to-end: greedy over a patched matrix is bit-identical to greedy over
 // a matrix built cold from the surviving candidates — with and without a
 // thread pool (the warm overload's pooled argmax path).

@@ -5,12 +5,14 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <ostream>
 #include <string>
 
 #include "src/geometry/angles.hpp"
 #include "src/pdcs/candidate_gen.hpp"
 #include "src/spatial/grid_index.hpp"
 #include "src/util/rng.hpp"
+#include "tests/extract_reference.hpp"
 #include "tests/test_helpers.hpp"
 
 namespace hipo::pdcs {
@@ -117,37 +119,7 @@ std::vector<Candidate> reference_point_case(const model::Scenario& scenario,
   return filter_dominated(std::move(out), scenario.num_devices());
 }
 
-// Byte-level comparison: strategy bits, covered lists, power bits, order.
-std::string first_difference(const std::vector<Candidate>& got,
-                             const std::vector<Candidate>& want) {
-  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  if (got.size() != want.size()) {
-    return "size " + std::to_string(got.size()) + " vs " +
-           std::to_string(want.size());
-  }
-  for (std::size_t k = 0; k < got.size(); ++k) {
-    const auto& a = got[k];
-    const auto& b = want[k];
-    if (bits(a.strategy.pos.x) != bits(b.strategy.pos.x) ||
-        bits(a.strategy.pos.y) != bits(b.strategy.pos.y) ||
-        bits(a.strategy.orientation) != bits(b.strategy.orientation) ||
-        a.strategy.type != b.strategy.type) {
-      return "strategy of candidate " + std::to_string(k);
-    }
-    if (a.covered != b.covered) {
-      return "covered of candidate " + std::to_string(k);
-    }
-    if (a.powers.size() != b.powers.size()) {
-      return "powers of candidate " + std::to_string(k);
-    }
-    for (std::size_t i = 0; i < a.powers.size(); ++i) {
-      if (bits(a.powers[i]) != bits(b.powers[i])) {
-        return "power bits of candidate " + std::to_string(k);
-      }
-    }
-  }
-  return {};
-}
+using ref::first_difference;
 
 model::Scenario reference_scenario(std::uint64_t seed, int obstacles,
                                    double charge_angle_scale,
@@ -202,6 +174,13 @@ struct ReferenceCase {
   double charge_angle_scale;
   double recv_angle_scale;
 };
+
+// Without it gtest prints the raw object bytes, padding included, into the
+// discovered test names, which then change from build to build.
+void PrintTo(const ReferenceCase& rc, std::ostream* os) {
+  *os << "{obstacles " << rc.obstacles << ", charge x" << rc.charge_angle_scale
+      << ", recv x" << rc.recv_angle_scale << "}";
+}
 
 class PointSweepReferenceTest
     : public ::testing::TestWithParam<ReferenceCase> {};
@@ -300,15 +279,22 @@ TEST(PointSweep, BoundaryMarginsMatchReference) {
 TEST(PointSweep, ReusedSweepMatchesFreshCallsAndTallies) {
   const auto s = reference_scenario(5, 2, 1.0);
   const auto all = all_devices(s);
+  // Pool entry k carries id k, so the arena's ids index `all`.
+  const std::vector<std::uint32_t> ids(all.begin(), all.end());
   PointSweep sweep(s);
-  std::vector<Candidate> appended, fresh;
+  SweepArena arena;
+  std::vector<Candidate> fresh;
   for (const Vec2 pos : reference_positions(s, 5)) {
     for (std::size_t q = 0; q < s.num_charger_types(); ++q) {
-      sweep.run(q, pos, all, appended);
+      sweep.run(q, pos, all, ids, arena);
       for (auto& c : extract_point_case(s, q, pos, all)) {
         fresh.push_back(std::move(c));
       }
     }
+  }
+  std::vector<Candidate> appended;
+  for (std::size_t r = 0; r < arena.size(); ++r) {
+    appended.push_back(arena.candidate(r, all));
   }
   EXPECT_EQ(first_difference(appended, fresh), "");
   EXPECT_EQ(sweep.rows_kept(), appended.size());

@@ -56,20 +56,14 @@ model::Scenario load_scenario(Cli& cli) {
   return model::read_scenario_file(*path);
 }
 
-opt::GreedyMode parse_greedy(const std::string& name) {
-  if (name == "lazy") return opt::GreedyMode::kLazyGlobal;
-  if (name == "global") return opt::GreedyMode::kGlobal;
-  if (name == "per-type") return opt::GreedyMode::kPerType;
-  throw ConfigError("--greedy expects 'lazy', 'global', or 'per-type'");
-}
-
 /// The hipo-pipeline options shared by `core::solve` and the delta flow —
 /// the one place the hipo flags are parsed and validated.
 core::SolveOptions hipo_options(Cli& cli, parallel::ThreadPool& pool) {
   core::SolveOptions opts;
   opts.local_search = cli.has("local-search");
   opts.pool = &pool;
-  opts.greedy = parse_greedy(cli.get_or("greedy", std::string("lazy")));
+  opts.greedy =
+      opt::parse_greedy_mode(cli.get_or("greedy", std::string("lazy")));
   opts.gain_quantize = cli.has("gain-quantize");
   return opts;
 }
