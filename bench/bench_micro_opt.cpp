@@ -52,7 +52,7 @@ struct Fixture {
 };
 
 /// Large instance for the parallel-selection benchmarks: dense topology so
-/// the greedy argmax scans thousands of candidates per round.
+/// the greedy heap build scans thousands of candidates.
 model::Scenario make_big_scenario(int device_multiplier) {
   model::GenOptions opt;
   opt.device_multiplier = device_multiplier;
@@ -69,7 +69,7 @@ struct BigFixture {
       : scenario(make_big_scenario(device_multiplier)) {
     // Extraction itself on all cores — candidates are scheduling-invariant.
     // The global dominance filter stays off: the parallel benchmarks target
-    // the argmax-bound regime, where greedy scans the raw candidate set.
+    // the selection-bound regime, where greedy scans the raw candidate set.
     parallel::ThreadPool pool;
     pdcs::ExtractOptions opt;
     opt.global_filter = false;
@@ -145,7 +145,7 @@ void BM_GreedyGlobalParallel(benchmark::State& state) {
   parallel::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(opt::select_strategies(
-        f.scenario, f.extraction.candidates, opt::GreedyMode::kGlobal,
+        f.scenario, f.extraction.candidates, opt::GreedyMode::kLazyGlobal,
         opt::ObjectiveKind::kUtility, &pool));
   }
 }
@@ -179,7 +179,7 @@ struct SpeedupPoint {
   double seconds = 0.0;
 };
 
-/// Times greedy selection (global argmax mode) at several pool sizes on one
+/// Times greedy selection (lazy global mode) at several pool sizes on one
 /// big instance, requiring the selections to be identical, and writes the
 /// JSON record the acceptance gate reads (BENCH_parallel.json). Records the
 /// measured wall-clock speedup, meaningful only up to the host's core count
@@ -206,7 +206,7 @@ int run_parallel_speedup(const std::string& out_path, int device_multiplier,
     for (int rep = 0; rep < reps; ++rep) {
       obs::Stopwatch timer;
       result = opt::select_strategies(fixture.scenario, candidates,
-                                      opt::GreedyMode::kGlobal,
+                                      opt::GreedyMode::kLazyGlobal,
                                       opt::ObjectiveKind::kUtility, &pool);
       const double elapsed = timer.seconds();
       if (rep == 0 || elapsed < best) best = elapsed;

@@ -11,7 +11,6 @@ ReplanOptions replan_options(const SolveOptions& solve) {
                "replan: local search has no incremental path");
   ReplanOptions out;
   out.delta.mode = solve.greedy;
-  out.delta.quantize = solve.gain_quantize;
   out.delta.extract = solve.extract;
   out.delta.workers = solve.pool;
   return out;

@@ -21,8 +21,7 @@ SolveResult solve(const model::Scenario& scenario,
                                            result.extraction.candidates,
                                            options.greedy,
                                            opt::ObjectiveKind::kUtility,
-                                           options.pool,
-                                           options.gain_quantize);
+                                           options.pool);
   }
   if (options.local_search) {
     obs::ScopedPhase phase("local_search");

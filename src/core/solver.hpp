@@ -20,14 +20,10 @@ struct SolveOptions {
   /// Post-greedy matroid-exchange local search (never worse; tightens the
   /// solution toward the 1 − 1/e quality the paper mentions via [39]).
   bool local_search = false;
-  /// u16 quantized top-k shortlist inside the dense greedy argmax (per-type
-  /// and global modes; the lazy heap has no dense scan). Pure bandwidth
-  /// optimization — the exact recheck keeps placements bit-identical.
-  bool gain_quantize = false;
   /// Optional worker pool for the whole pipeline: distributed extraction
-  /// (Algorithm 5), per-type dominance filtering, the greedy argmax, and
-  /// the exact-utility evaluation. Output is bit-identical for any pool
-  /// size (deterministic chunked reductions), including no pool at all.
+  /// (Algorithm 5), per-type dominance filtering, the greedy heap builds,
+  /// and the exact-utility evaluation. Output is bit-identical for any pool
+  /// size, including no pool at all.
   parallel::ThreadPool* pool = nullptr;
 };
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/core/solver.hpp"
+#include "src/fuzz/reference_greedy.hpp"
 #include "src/geometry/angles.hpp"
 #include "src/geometry/sector_ring.hpp"
 #include "src/opt/coverage_matrix.hpp"
@@ -500,13 +501,11 @@ std::optional<Violation> check_greedy_bound(const Scenario& scenario,
   // matroid where the classic 1−1/e factor applies.
   const double factor = single_type ? 1.0 - std::exp(-1.0) : 0.5;
 
-  opt::GreedyResult global;
-  for (const auto mode : {opt::GreedyMode::kPerType, opt::GreedyMode::kGlobal,
-                          opt::GreedyMode::kLazyGlobal}) {
+  for (const auto mode :
+       {opt::GreedyMode::kPerType, opt::GreedyMode::kLazyGlobal}) {
     const auto g = opt::select_strategies(scenario, cands, mode);
-    const char* name = mode == opt::GreedyMode::kPerType ? "per-type"
-                       : mode == opt::GreedyMode::kGlobal ? "global"
-                                                          : "lazy-global";
+    const char* name =
+        mode == opt::GreedyMode::kPerType ? "per-type" : "lazy-global";
     try {
       scenario.validate_placement(g.placement);
     } catch (const std::exception& e) {
@@ -539,15 +538,13 @@ std::optional<Violation> check_greedy_bound(const Scenario& scenario,
       return fail("greedy", std::string("greedy (") + name +
                                 ") utility outside [0, 1]");
     }
-    if (mode == opt::GreedyMode::kGlobal) global = g;
-    if (mode == opt::GreedyMode::kLazyGlobal) {
-      if (g.selected != global.selected ||
-          g.approx_utility != global.approx_utility ||
-          g.exact_utility != global.exact_utility) {
-        return fail("greedy",
-                    "lazy-global and global greedy disagree (selection or "
-                    "utility not bit-identical)");
-      }
+    const auto eager = reference_greedy(scenario, cands, mode);
+    if (g.selected != eager.selected ||
+        g.approx_utility != eager.approx_utility ||
+        g.exact_utility != eager.exact_utility) {
+      return fail("greedy", std::string("lazy ") + name +
+                                " greedy and its eager reference disagree "
+                                "(selection or utility not bit-identical)");
     }
     if (single_type) {
       // Theorem-style end-to-end chain on exact utilities:
@@ -638,53 +635,29 @@ std::optional<Violation> check_simd_identity(const Scenario& scenario,
   const bool have_avx2 =
       opt::simd::avx2_compiled() && opt::simd::cpu_has_avx2();
 
-  // Scalar global-mode baselines per objective kind, for the lazy cross-check.
-  opt::GreedyResult global_base[2];
-  for (const auto mode : {opt::GreedyMode::kPerType, opt::GreedyMode::kGlobal,
-                          opt::GreedyMode::kLazyGlobal}) {
+  for (const auto mode :
+       {opt::GreedyMode::kPerType, opt::GreedyMode::kLazyGlobal}) {
     for (const auto kind :
          {opt::ObjectiveKind::kUtility, opt::ObjectiveKind::kLogUtility}) {
+      // Baseline: the eager reference on the scalar kernels.
       opt::simd::force_isa(opt::simd::Isa::kScalar);
-      const auto base = opt::select_strategies(scenario, cands, mode, kind);
+      const auto base = reference_greedy(scenario, cands, mode, kind);
       const char* mode_name =
-          mode == opt::GreedyMode::kPerType   ? "per-type"
-          : mode == opt::GreedyMode::kGlobal ? "global"
-                                             : "lazy-global";
+          mode == opt::GreedyMode::kPerType ? "per-type" : "lazy-global";
       const char* kind_name =
           kind == opt::ObjectiveKind::kUtility ? "utility" : "log-utility";
-      const std::size_t k = kind == opt::ObjectiveKind::kUtility ? 0 : 1;
-      if (mode == opt::GreedyMode::kGlobal) global_base[k] = base;
-      if (mode == opt::GreedyMode::kLazyGlobal &&
-          (base.selected != global_base[k].selected ||
-           utility_bits(base.approx_utility) !=
-               utility_bits(global_base[k].approx_utility))) {
-        return fail("simd", std::string("scalar lazy-global selection differs "
-                                        "from scalar global (kind ") +
-                                kind_name + ")");
-      }
 
-      // Variants that must match the scalar non-quantized baseline bit for
-      // bit: quantized dense argmax and (when available) the AVX2 kernels
-      // with and without quantization.
-      struct Variant {
-        const char* name;
-        opt::simd::Isa isa;
-        bool quantize;
-      };
-      std::vector<Variant> variants{
-          {"scalar+quantize", opt::simd::Isa::kScalar, true},
-      };
-      if (have_avx2) {
-        variants.push_back({"avx2", opt::simd::Isa::kAvx2, false});
-        variants.push_back({"avx2+quantize", opt::simd::Isa::kAvx2, true});
-      }
-      for (const Variant& v : variants) {
-        opt::simd::force_isa(v.isa);
-        const auto run = opt::select_strategies(scenario, cands, mode, kind,
-                                                nullptr, v.quantize);
+      // The lazy engine on every available ISA must match it bit for bit.
+      std::vector<opt::simd::Isa> isas{opt::simd::Isa::kScalar};
+      if (have_avx2) isas.push_back(opt::simd::Isa::kAvx2);
+      for (const opt::simd::Isa isa : isas) {
+        opt::simd::force_isa(isa);
+        const char* isa_name = opt::simd::isa_name(isa);
+        const auto run = opt::select_strategies(scenario, cands, mode, kind);
         if (run.selected != base.selected) {
-          return fail("simd", std::string(v.name) + " selection differs from "
-                                  "scalar baseline (mode " +
+          return fail("simd", std::string(isa_name) +
+                                  " selection differs from the scalar eager "
+                                  "reference (mode " +
                                   mode_name + ", kind " + kind_name + ")");
         }
         if (utility_bits(run.approx_utility) !=
@@ -692,9 +665,9 @@ std::optional<Violation> check_simd_identity(const Scenario& scenario,
             utility_bits(run.exact_utility) !=
                 utility_bits(base.exact_utility)) {
           return fail("simd",
-                      std::string(v.name) +
-                          " utilities not bit-identical to scalar baseline "
-                          "(mode " +
+                      std::string(isa_name) +
+                          " utilities not bit-identical to the scalar eager "
+                          "reference (mode " +
                           mode_name + ", kind " + kind_name + "): approx " +
                           fmt(run.approx_utility) + " vs " +
                           fmt(base.approx_utility) + ", exact " +

@@ -57,7 +57,8 @@ std::optional<Violation> check_piecewise(const model::Scenario& scenario,
 
 /// (4) Greedy vs. exhaustive on tiny instances: the ½ matroid bound (and
 /// 1−1/e with a single charger type, plus the (1−1/e)/(1+ε₁) end-to-end
-/// chain on exact utilities), lazy ≡ eager, and placement validity.
+/// chain on exact utilities), lazy ≡ the eager reference greedy for both
+/// modes, and placement validity.
 /// Skips (returns nullopt) when the instance is too large to brute-force.
 std::optional<Violation> check_greedy_bound(const model::Scenario& scenario,
                                             std::uint64_t seed);
@@ -67,12 +68,11 @@ std::optional<Violation> check_greedy_bound(const model::Scenario& scenario,
 std::optional<Violation> check_determinism(const model::Scenario& scenario,
                                            std::uint64_t seed);
 
-/// (6) Gain-kernel dispatch identity: greedy selections and utilities must
-/// be bit-identical across forced scalar vs. AVX2 kernels (when compiled
-/// and supported) and quantized vs. plain dense argmax, for every greedy
-/// mode and objective kind; the lazy-global selection must also equal the
-/// eager global one under both kinds. Restores the previously active ISA
-/// on exit.
+/// (6) Gain-kernel dispatch identity: for both greedy modes and both
+/// objective kinds, the lazy engine under forced scalar and (when compiled
+/// and supported) AVX2 kernels must reproduce the eager reference greedy
+/// on scalar kernels bit for bit — selection and both utilities. Restores
+/// the previously active ISA on exit.
 std::optional<Violation> check_simd_identity(const model::Scenario& scenario,
                                              std::uint64_t seed);
 

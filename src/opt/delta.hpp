@@ -84,7 +84,6 @@ struct DeltaOptions {
   /// path and is deliberately absent).
   GreedyMode mode = GreedyMode::kLazyGlobal;
   ObjectiveKind kind = ObjectiveKind::kUtility;
-  bool quantize = false;
   pdcs::ExtractOptions extract;
   /// When more than this fraction of tasks is invalidated, re-extract all
   /// of them (counted in delta.full_rebuilds) — the diff bookkeeping would

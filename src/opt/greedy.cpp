@@ -1,6 +1,8 @@
 #include "src/opt/greedy.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
 #include <queue>
 #include <string>
 
@@ -13,10 +15,14 @@ namespace hipo::opt {
 
 GreedyMode parse_greedy_mode(std::string_view name) {
   if (name == "lazy") return GreedyMode::kLazyGlobal;
-  if (name == "global") return GreedyMode::kGlobal;
   if (name == "per-type") return GreedyMode::kPerType;
+  if (name == "global") {
+    throw ConfigError(
+        "greedy mode 'global' was removed: 'lazy' runs the same matroid "
+        "greedy and gives the byte-identical placement");
+  }
   throw ConfigError("greedy mode '" + std::string(name) +
-                    "' is not one of 'lazy', 'global', 'per-type'");
+                    "' is not one of 'lazy', 'per-type'");
 }
 
 PartitionMatroid placement_matroid(
@@ -50,13 +56,8 @@ PartitionMatroid placement_matroid(const model::Scenario& scenario,
 
 namespace {
 
-/// Chunk size of the dense (SIMD-kernel) argmax: a chunk is a
-/// straight-line vector scan over contiguous lanes, so per-chunk dispatch
-/// overhead matters more than per-row cost. Fixed (worker-count
-/// independent) for determinism — though the dense reduction's winner is
-/// chunking-invariant anyway (exact compares, lowest index wins across any
-/// chunk boundary).
-constexpr std::size_t kDenseGrain = 1024;
+/// Rows per pool iteration of a heap build.
+constexpr std::size_t kHeapBuildBlock = 1024;
 
 /// Marginal-gain buckets: the utility objective is normalized to [0, 1], so
 /// accepted gains live on a log-ish scale below 1.
@@ -73,21 +74,32 @@ void note_selection(double gain) {
   }
 }
 
-/// One pass of Algorithm 3's inner argmax: blocked SoA scan over every
-/// candidate row, eligibility filtering instead of pool indirection.
-/// Per-chunk scans are reduced in chunk order with the exact strict
-/// comparison (ties → lower index), so the winner is identical for any
-/// worker count — and for the lazy variant's heap order. With no rows the
-/// reduction never calls the map and returns "nothing found".
-BestGain best_gain_dense(const ChargingObjective::State& state,
-                         std::size_t num_candidates,
-                         parallel::ThreadPool* workers) {
-  return parallel::chunked_reduce(
-      workers, num_candidates, BestGain{},
-      [&](std::size_t begin, std::size_t end) {
-        return state.best_gain_dense(begin, end);
-      },
-      [](BestGain a, BestGain b) { return better_gain(a, b); }, kDenseGrain);
+/// Explain the zero-utility devices of a selection: a device no row covers
+/// at all (an empty CSR column) could not have been served by any choice;
+/// one whose rows all went unselected lost out to the budget.
+void note_unserved_devices(const ChargingObjective& objective,
+                           const GreedyResult& result) {
+  if (!obs::metrics_enabled()) [[likely]] return;
+  const CoverageMatrix& mat = objective.matrix();
+  std::vector<std::uint8_t> served(mat.num_devices(), 0);
+  for (std::size_t i : result.selected) {
+    for (std::uint32_t j : mat.covered(i)) served[j] = 1;
+  }
+  std::uint64_t uncoverable = 0;
+  std::uint64_t unserved = 0;
+  for (std::size_t j = 0; j < mat.num_devices(); ++j) {
+    if (mat.rows_covering(j).empty()) {
+      ++uncoverable;
+    } else if (served[j] == 0) {
+      ++unserved;
+    }
+  }
+  static obs::Counter& uncoverable_counter =
+      obs::counter("greedy.devices_uncoverable");
+  static obs::Counter& unserved_counter =
+      obs::counter("greedy.devices_unserved");
+  uncoverable_counter.add(uncoverable);
+  unserved_counter.add(unserved);
 }
 
 void finish(const model::Scenario& scenario,
@@ -100,6 +112,7 @@ void finish(const model::Scenario& scenario,
   for (std::size_t i : result.selected) {
     result.placement.push_back(objective.strategy(i));
   }
+  note_unserved_devices(objective, result);
   // Memoized exact evaluation: strategies at the same position share LOS
   // traces across devices and placement slots (result identical to
   // Scenario::placement_utility).
@@ -108,118 +121,54 @@ void finish(const model::Scenario& scenario,
   result.exact_utility = cache.placement_utility(result.placement, workers);
 }
 
-GreedyResult greedy_per_type(const model::Scenario& scenario,
-                             const ChargingObjective& objective, bool quantize,
-                             parallel::ThreadPool* workers) {
-  const std::size_t n = objective.num_candidates();
-  ChargingObjective::State state(objective);
-  state.enable_incremental(quantize);
-  GreedyResult result;
-
-  for (std::size_t q = 0; q < scenario.num_charger_types(); ++q) {
-    // One eligibility reset per type phase: the argmax then scans
-    // contiguous lanes restricted to type q. No type-q row can have been
-    // picked in an earlier phase, so the reset never re-admits a pick.
-    for (std::size_t i = 0; i < n; ++i) {
-      state.set_eligible(i, objective.strategy(i).type == q);
-    }
-    const auto budget = static_cast<std::size_t>(scenario.charger_count(q));
-    for (std::size_t pick = 0; pick < budget; ++pick) {
-      const BestGain best = best_gain_dense(state, n, workers);
-      if (!best.found()) break;  // nothing left with positive gain
-      state.mark_ineligible(best.index);
-      state.add(best.index);
-      result.selected.push_back(best.index);
-      note_selection(best.gain);
-    }
-  }
-  finish(scenario, objective, result, state, workers);
-  return result;
-}
-
-GreedyResult greedy_global(const model::Scenario& scenario,
-                           const ChargingObjective& objective, bool quantize,
-                           parallel::ThreadPool* workers) {
-  const std::size_t n = objective.num_candidates();
-  ChargingObjective::State state(objective);
-  state.enable_incremental(quantize);
-  const PartitionMatroid matroid = placement_matroid(scenario, objective);
-  PartitionMatroid::Tracker tracker(matroid);
-  GreedyResult result;
-  // The eligibility lane also covers matroid-infeasible candidates: when a
-  // part fills up, all its remaining candidates are retired, keeping the
-  // scan filter a single flag test. Candidates of zero-budget parts are
-  // infeasible from the start — without this pre-marking the argmax could
-  // pick one and trip the tracker's capacity assertion before any
-  // retirement pass ran.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!tracker.can_add(i)) state.mark_ineligible(i);
-  }
-
-  while (!tracker.saturated()) {
-    const BestGain best = best_gain_dense(state, n, workers);
-    if (!best.found()) break;
-    state.mark_ineligible(best.index);
-    tracker.add(best.index);
-    state.add(best.index);
-    result.selected.push_back(best.index);
-    note_selection(best.gain);
-    if (!tracker.can_add(best.index)) {  // part now full: retire its peers
-      const std::size_t part = matroid.part_of(best.index);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (matroid.part_of(i) == part) state.mark_ineligible(i);
-      }
-    }
-  }
-  finish(scenario, objective, result, state, workers);
-  return result;
-}
-
-GreedyResult greedy_lazy(const model::Scenario& scenario,
-                         const ChargingObjective& objective,
-                         parallel::ThreadPool* workers) {
-  const std::size_t n = objective.num_candidates();
-  ChargingObjective::State state(objective);
-  // Quantization only affects the dense argmax; the lazy driver is
-  // heap-ordered and never scans the quant lane, so it is not maintained.
-  state.enable_incremental();
-  const PartitionMatroid matroid = placement_matroid(scenario, objective);
-  PartitionMatroid::Tracker tracker(matroid);
-  GreedyResult result;
-
-  // Max-heap of (stale gain upper bound, candidate). Submodularity
-  // guarantees gains only decrease, so a re-evaluated top that stays on top
-  // is exactly the argmax.
+/// Minoux's lazy greedy over `rows` (ascending row indices): every row
+/// whose gain under the current state exceeds kMinGain enters a max-heap,
+/// then rows are picked until `budget` picks are made or the heap empties.
+/// Rows of a matroid part that is already full are dropped when popped.
+/// The round of an entry is the selection count its gain was computed at,
+/// so an entry is fresh iff no pick has happened since.
+void lazy_greedy(std::span<const std::size_t> rows, std::size_t budget,
+                 ChargingObjective::State& state,
+                 PartitionMatroid::Tracker& tracker, GreedyResult& result,
+                 parallel::ThreadPool* workers) {
+  if (budget == 0) return;  // e.g. a zero-count charger type
   struct Entry {
     double gain;
     std::size_t index;
-    std::size_t round;  // selection round the gain was computed in
+    std::size_t round;
     bool operator<(const Entry& other) const {
       if (gain != other.gain) return gain < other.gain;
       return index > other.index;  // deterministic tie-break: lower index wins
     }
   };
-  // Initial gains are independent of each other (the state is empty), so
-  // they parallelize element-wise; the heap is then built in index order,
-  // identical to the sequential construction.
-  std::vector<double> initial(n);
-  parallel::chunked_for(workers, n, [&](std::size_t i) {
-    initial[i] = state.gain(i);
+  // Gains at the heap build are independent of each other (the state does
+  // not change during it), so they parallelize over disjoint blocks of
+  // rows; the heap is then built in row order, identical to the sequential
+  // construction. A block, not a row, per pool iteration: one row's gain
+  // costs tens of nanoseconds, less than the pool's per-iteration claim.
+  std::vector<double> initial(rows.size());
+  const std::size_t blocks = (rows.size() + kHeapBuildBlock - 1) /
+                             kHeapBuildBlock;
+  parallel::chunked_for(workers, blocks, [&](std::size_t b) {
+    const std::size_t end = std::min(rows.size(), (b + 1) * kHeapBuildBlock);
+    for (std::size_t k = b * kHeapBuildBlock; k < end; ++k) {
+      initial[k] = state.gain(rows[k]);
+    }
   });
   if (obs::metrics_enabled()) [[unlikely]] {
-    // The heap build is the lazy variant's one full row scan; count it so
-    // coverage.rows_scanned reflects work done under every greedy mode.
-    static obs::Counter& rows = obs::counter("coverage.rows_scanned");
-    rows.add(n);
+    // The heap build is the engine's one full scan of its rows.
+    static obs::Counter& scanned = obs::counter("coverage.rows_scanned");
+    scanned.add(rows.size());
   }
+  const std::size_t start = result.selected.size();
   std::priority_queue<Entry> heap;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (initial[i] > kMinGain) heap.push({initial[i], i, 0});
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    if (initial[k] > kMinGain) heap.push({initial[k], rows[k], start});
   }
 
-  std::size_t round = 0;
-  while (!tracker.saturated() && !heap.empty()) {
+  while (result.selected.size() - start < budget && !heap.empty()) {
     const bool obs_on = obs::metrics_enabled();
+    const std::size_t round = result.selected.size();
     Entry top = heap.top();
     heap.pop();
     if (obs_on) [[unlikely]] {
@@ -238,9 +187,10 @@ GreedyResult greedy_lazy(const model::Scenario& scenario,
       top.round = round;
       // Demotion uses the heap's own exact ordering (Entry::operator<),
       // not a fuzzy band: with the refreshed gain, `top` stays selected
-      // only if it would still be the heap's maximum. This is what keeps
-      // the lazy output bit-identical to the eager global scan — both
-      // pick the strictly largest gain, lower index on exact ties.
+      // only if it would still be the heap's maximum. Every other entry's
+      // gain is an upper bound on its current gain, so this picks what an
+      // eager scan of the same rows picks — the strictly largest gain,
+      // lower index on exact ties.
       if (!heap.empty() && top < heap.top()) {
         heap.push(top);
         continue;
@@ -250,28 +200,41 @@ GreedyResult greedy_lazy(const model::Scenario& scenario,
     state.add(top.index);
     result.selected.push_back(top.index);
     note_selection(top.gain);
-    ++round;
+  }
+}
+
+/// Shared by both public entry points, so the warm-matrix path runs the
+/// exact same driver code (and therefore the exact same selection) as the
+/// cold span path.
+GreedyResult run_greedy(const model::Scenario& scenario,
+                        const ChargingObjective& objective, GreedyMode mode,
+                        parallel::ThreadPool* workers) {
+  const std::size_t n = objective.num_candidates();
+  ChargingObjective::State state(objective);
+  state.enable_incremental();
+  const PartitionMatroid matroid = placement_matroid(scenario, objective);
+  PartitionMatroid::Tracker tracker(matroid);
+  GreedyResult result;
+
+  if (mode == GreedyMode::kPerType) {
+    // Algorithm 3: one lazy heap per type phase, built on the state the
+    // earlier phases left. Each phase is a greedy over a submodular
+    // function, so the lazy argument holds phase by phase.
+    std::vector<std::vector<std::size_t>> rows_of_type(matroid.num_parts());
+    for (std::size_t i = 0; i < n; ++i) {
+      rows_of_type[matroid.part_of(i)].push_back(i);
+    }
+    for (std::size_t q = 0; q < rows_of_type.size(); ++q) {
+      lazy_greedy(rows_of_type[q], matroid.capacity(q), state, tracker,
+                  result, workers);
+    }
+  } else {
+    std::vector<std::size_t> rows(n);
+    std::iota(rows.begin(), rows.end(), std::size_t{0});
+    lazy_greedy(rows, matroid.rank(), state, tracker, result, workers);
   }
   finish(scenario, objective, result, state, workers);
   return result;
-}
-
-/// Dispatch on mode over a ready objective — shared by both public entry
-/// points, so the warm-matrix path runs the exact same driver code (and
-/// therefore the exact same selection) as the cold span path.
-GreedyResult run_greedy(const model::Scenario& scenario,
-                        const ChargingObjective& objective, GreedyMode mode,
-                        parallel::ThreadPool* workers, bool quantize) {
-  switch (mode) {
-    case GreedyMode::kPerType:
-      return greedy_per_type(scenario, objective, quantize, workers);
-    case GreedyMode::kGlobal:
-      return greedy_global(scenario, objective, quantize, workers);
-    case GreedyMode::kLazyGlobal:
-      return greedy_lazy(scenario, objective, workers);
-  }
-  HIPO_ASSERT_MSG(false, "unknown greedy mode");
-  return {};
 }
 
 }  // namespace
@@ -279,17 +242,17 @@ GreedyResult run_greedy(const model::Scenario& scenario,
 GreedyResult select_strategies(const model::Scenario& scenario,
                                std::span<const pdcs::Candidate> candidates,
                                GreedyMode mode, ObjectiveKind kind,
-                               parallel::ThreadPool* workers, bool quantize) {
+                               parallel::ThreadPool* workers) {
   const ChargingObjective objective(scenario, candidates, kind);
-  return run_greedy(scenario, objective, mode, workers, quantize);
+  return run_greedy(scenario, objective, mode, workers);
 }
 
 GreedyResult select_strategies(const model::Scenario& scenario,
                                const CoverageMatrix& matrix, GreedyMode mode,
                                ObjectiveKind kind,
-                               parallel::ThreadPool* workers, bool quantize) {
+                               parallel::ThreadPool* workers) {
   const ChargingObjective objective(scenario, matrix, kind);
-  return run_greedy(scenario, objective, mode, workers, quantize);
+  return run_greedy(scenario, objective, mode, workers);
 }
 
 }  // namespace hipo::opt

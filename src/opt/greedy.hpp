@@ -1,16 +1,17 @@
 // Greedy strategy selection under the partition matroid (Section 4.3).
 //
-// Three interchangeable modes:
+// Two modes, one engine — Minoux's lazy greedy over a max-heap of stale
+// gain upper bounds:
 //   * PerType    — Algorithm 3 verbatim: iterate charger types in order and
 //                  fill each type's budget greedily, gains evaluated on the
-//                  global state.
-//   * Global     — textbook matroid greedy: at every step pick the feasible
-//                  candidate with the best global marginal gain. Both
-//                  achieve the 1/2 bound for monotone submodular f under a
-//                  matroid constraint [Fisher–Nemhauser–Wolsey; ref 38].
-//   * LazyGlobal — Global accelerated with Minoux's lazy evaluation; exact
-//                  same output by submodularity (stale upper bounds only
-//                  ever postpone re-evaluation).
+//                  global state. Each type phase is its own lazy heap.
+//   * LazyGlobal — the textbook matroid greedy: at every step pick the
+//                  feasible candidate with the best global marginal gain.
+// Both achieve the 1/2 bound for monotone submodular f under a matroid
+// constraint [Fisher–Nemhauser–Wolsey; ref 38]. Within a heap, gains only
+// shrink (submodularity), so a stale bound is an upper bound and the lazy
+// loop picks exactly what an eager full scan would: the strictly largest
+// gain, lower index on exact ties.
 #pragma once
 
 #include <span>
@@ -25,11 +26,12 @@
 
 namespace hipo::opt {
 
-enum class GreedyMode { kPerType, kGlobal, kLazyGlobal };
+enum class GreedyMode { kPerType, kLazyGlobal };
 
-/// The mode a front end names: "lazy" (kLazyGlobal), "global" or
-/// "per-type". The one list of accepted names for hipo_solve, hipo_shard
-/// and the serve protocol; ConfigError for anything else.
+/// The mode a front end names: "lazy" (kLazyGlobal) or "per-type". The one
+/// list of accepted names for hipo_solve, hipo_shard and the serve
+/// protocol; ConfigError for anything else (the removed "global" included,
+/// whose output "lazy" reproduces byte for byte).
 GreedyMode parse_greedy_mode(std::string_view name);
 
 struct GreedyResult {
@@ -59,24 +61,20 @@ PartitionMatroid placement_matroid(const model::Scenario& scenario,
 /// positive gain and every budget is either filled or its part exhausted.
 /// `kind` selects the per-device transform (kLogUtility gives the
 /// proportional-fairness objective of Section 8.3). When `workers` is
-/// given, the per-round argmax, the lazy heap build, and the exact-utility
-/// evaluation run on the pool; the chunked deterministic reduction makes
-/// the result bit-identical for any worker count (including none).
-/// The pool is packed into a CoverageMatrix and every mode runs on the
-/// dirty-gain incremental state: per-type and global modes argmax with the
-/// SIMD-dispatched dense kernels, the lazy mode with a heap. Each row's
-/// gain goes through one canonical kernel expression and fold order, so
-/// results are bit-identical across ISAs (ctest-asserted). `quantize`
-/// turns on the u16 quantized top-k shortlist inside the dense argmax
-/// (per-type and global modes; the lazy heap has no dense scan): a
-/// bandwidth optimization whose exact-recheck keeps placements
-/// bit-identical too. An empty pool yields an empty placement.
+/// given, the heap builds' gain evaluations and the exact-utility
+/// evaluation run on the pool; both are element-wise, so the result is
+/// bit-identical for any worker count (including none). The pool is packed
+/// into a CoverageMatrix and both modes run on the dirty-gain incremental
+/// state. Each row's gain goes through one canonical kernel expression and
+/// fold order, so results are bit-identical across ISAs (ctest-asserted).
+/// With metrics on, also counts the devices no row covers
+/// (greedy.devices_uncoverable) and those no selected row covers
+/// (greedy.devices_unserved). An empty pool yields an empty placement.
 GreedyResult select_strategies(const model::Scenario& scenario,
                                std::span<const pdcs::Candidate> candidates,
                                GreedyMode mode = GreedyMode::kPerType,
                                ObjectiveKind kind = ObjectiveKind::kUtility,
-                               parallel::ThreadPool* workers = nullptr,
-                               bool quantize = false);
+                               parallel::ThreadPool* workers = nullptr);
 
 /// Warm-matrix overload (the delta path): run the same greedy drivers over
 /// a caller-owned, already-built CoverageMatrix — no packing, no candidate
@@ -87,7 +85,6 @@ GreedyResult select_strategies(const model::Scenario& scenario,
                                const CoverageMatrix& matrix,
                                GreedyMode mode = GreedyMode::kPerType,
                                ObjectiveKind kind = ObjectiveKind::kUtility,
-                               parallel::ThreadPool* workers = nullptr,
-                               bool quantize = false);
+                               parallel::ThreadPool* workers = nullptr);
 
 }  // namespace hipo::opt

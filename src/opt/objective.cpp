@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "src/obs/metrics.hpp"
 #include "src/opt/simd/gain_kernels.hpp"
@@ -57,37 +56,12 @@ double ChargingObjective::value(std::span<const std::size_t> selected) const {
 ChargingObjective::State::State(const ChargingObjective& objective)
     : objective_(&objective), power_(objective.p_th_.size(), 0.0) {}
 
-void ChargingObjective::State::enable_incremental(bool quantize) {
+void ChargingObjective::State::enable_incremental() {
   if (!dirty_.empty()) return;
   const std::size_t n = objective_->num_candidates();
   if (n == 0) return;
   cached_gain_.assign(n, 0.0);
   dirty_.assign(n, 1);  // nothing cached yet: every row starts stale
-  eligible_.assign(n, 1);
-  quantize_ = quantize;
-  if (quantize_) quant_.assign(n, 0);
-}
-
-void ChargingObjective::State::mark_ineligible(std::size_t i) {
-  if (eligible_.empty()) return;
-  eligible_[i] = 0;
-  // Invariant the quantized scan relies on: ineligible ⟹ quant == 0, so a
-  // u16 lane maximum ≥ 1 only ever points at eligible rows.
-  if (quantize_) quant_[i] = 0;
-}
-
-void ChargingObjective::State::set_eligible(std::size_t i, bool eligible) {
-  if (eligible_.empty()) return;
-  if (!eligible) {
-    mark_ineligible(i);
-    return;
-  }
-  eligible_[i] = 1;
-  // Re-admitted rows re-enter the quantized lane: from the clean cache if
-  // valid, else the dirty pre-pass will refresh both on the next scan.
-  if (quantize_ && dirty_[i] == 0) {
-    quant_[i] = simd::quantize_gain(cached_gain_[i], kMinGain);
-  }
 }
 
 double ChargingObjective::State::recompute_gain(std::size_t i) const {
@@ -121,10 +95,6 @@ double ChargingObjective::State::gain(std::size_t i) const {
       // cache-free State would compute.
       const double g = recompute_gain(i);
       cached_gain_[i] = g;
-      if (quantize_) {
-        quant_[i] =
-            eligible_[i] != 0 ? simd::quantize_gain(g, kMinGain) : 0;
-      }
       dirty_[i] = 0;
       if (obs::metrics_enabled()) [[unlikely]] {
         static obs::Counter& recomputes =
@@ -188,75 +158,11 @@ BestGain ChargingObjective::State::best_gain(
     }
   }
   if (obs::metrics_enabled()) [[unlikely]] {
-    // Bulk-bump once per argmax chunk.
+    // Bulk-bump once per scan.
     static obs::Counter& rows = obs::counter("coverage.rows_scanned");
     static obs::Counter& avoided = obs::counter("coverage.reevals_avoided");
     rows.add(end - begin);
     avoided.add(clean_hits);
-  }
-  return best;
-}
-
-BestGain ChargingObjective::State::best_gain_dense(std::size_t begin,
-                                                   std::size_t end) const {
-  HIPO_ASSERT_MSG(!dirty_.empty(),
-                  "best_gain_dense needs enable_incremental()");
-  // Dirty pre-pass: refresh stale eligible rows so the kernels scan a fully
-  // valid gain lane. The dirty lane is read eight flags at a word — after
-  // the first few rounds almost every word is zero, so the pre-pass is a
-  // pure sequential read at memory speed. Ineligible rows stay dirty; their
-  // stale cache entries are never read (the eligibility mask — or the
-  // quant == 0 invariant — screens them out).
-  std::size_t i = begin;
-  while (i < end) {
-    if (end - i >= 8) {
-      std::uint64_t word;
-      std::memcpy(&word, dirty_.data() + i, 8);
-      if (word == 0) {
-        i += 8;
-        continue;
-      }
-    }
-    const std::size_t stop = std::min(end, i + 8);
-    for (; i < stop; ++i) {
-      if (dirty_[i] != 0 && eligible_[i] != 0) (void)gain(i);
-    }
-  }
-
-  const simd::GainKernels& k = simd::kernels();
-  simd::ArgmaxHit hit;
-  std::uint64_t rechecks = 0;
-  if (quantize_) {
-    // Quantized top-k: one u16 max-reduce shortlists the rows whose gains
-    // round up to the lane maximum, then only those few are compared in
-    // double. The quantization is monotone, so every row attaining the
-    // exact maximum quantizes to qmax — the shortlist is a superset of the
-    // exact argmax set (ties included) and the recheck returns the same
-    // winner the full-precision scan would.
-    const std::uint16_t qmax = k.max_u16(quant_.data(), begin, end);
-    if (qmax != 0) {
-      hit = k.argmax_f64_where_u16(quant_.data(), qmax, cached_gain_.data(),
-                                   begin, end, kMinGain, &rechecks);
-    }
-  } else {
-    hit = k.argmax_f64(cached_gain_.data(), eligible_.data(), begin, end,
-                       kMinGain);
-  }
-
-  if (obs::metrics_enabled()) [[unlikely]] {
-    static obs::Counter& rows = obs::counter("coverage.rows_scanned");
-    static obs::Counter& simd_rows = obs::counter("coverage.simd_rows");
-    static obs::Counter& quant_rechecks =
-        obs::counter("gain.quantized_rechecks");
-    rows.add(end - begin);
-    simd_rows.add(end - begin);
-    quant_rechecks.add(rechecks);
-  }
-
-  BestGain best;
-  if (hit.index != simd::kNoIndex) {
-    best.gain = hit.gain;
-    best.index = hit.index;
   }
   return best;
 }

@@ -17,7 +17,6 @@
 
 #include "src/model/scenario.hpp"
 #include "src/opt/coverage_matrix.hpp"
-#include "src/opt/simd/aligned.hpp"
 #include "src/pdcs/candidate.hpp"
 
 namespace hipo::opt {
@@ -44,18 +43,6 @@ struct BestGain {
 
   bool found() const { return index != kNone; }
 };
-
-/// Deterministic fold of two scan results: keep `a` unless `b` strictly
-/// improves on it. Qualifying gains are compared *exactly* — a fuzzy
-/// near-tie band here would rank candidates differently from the lazy
-/// greedy's exact heap order, breaking the lazy ≡ eager output guarantee —
-/// and exact ties go to `a`, i.e. the earlier pool position / lower
-/// candidate index, the same tie-break as the sequential scan and the lazy
-/// heap. Combined with fixed chunk boundaries this makes the chunked
-/// argmax reduction worker-count-invariant.
-inline BestGain better_gain(BestGain a, BestGain b) {
-  return (b.found() && b.gain > a.gain) ? b : a;
-}
 
 class ChargingObjective {
  public:
@@ -95,8 +82,8 @@ class ChargingObjective {
     /// Algorithm 3's sequential semantics: only gains above kMinGain
     /// qualify, the incumbent is replaced only when beaten strictly, and
     /// exact ties keep the earliest pool position (lowest index). No
-    /// greedy driver runs it; it is the plain reference scan the dense
-    /// argmax is tested and benchmarked against.
+    /// greedy driver runs it; it is the eager reference scan the lazy heap
+    /// is tested and benchmarked against.
     BestGain best_gain(std::span<const std::size_t> pool, std::size_t begin,
                        std::size_t end, const std::vector<bool>& taken) const;
     /// Add candidate i to X. With incremental tracking on, also marks
@@ -111,42 +98,14 @@ class ChargingObjective {
     /// exhaustive search and local search construct/copy States far too
     /// often to pay for it.
     ///
-    /// With `quantize` set, a u16 fixed-point image of each cached gain is
-    /// maintained alongside it and best_gain_dense() scans that lane first
-    /// (see the quantized top-k notes there). Placements are bit-identical
-    /// either way; quantize is purely a bandwidth optimization.
-    ///
     /// Thread-safety: gain() then writes cache entries through `mutable`
     /// members. Concurrent gain() calls are safe iff they target distinct
-    /// candidates — which the chunked argmax and the lazy heap build
-    /// guarantee (disjoint row ranges per worker). The
-    /// cached value is bit-identical to a fresh recomputation by
+    /// candidates — which the lazy heap build guarantees (one call per
+    /// row). The cached value is bit-identical to a fresh recomputation by
     /// construction, so determinism across worker counts is unaffected.
-    void enable_incremental(bool quantize = false);
+    void enable_incremental();
     bool incremental() const { return !dirty_.empty(); }
-    bool quantized() const { return quantize_; }
 
-    /// Eligibility lane for the dense argmax: ineligible rows (taken, or
-    /// outside the current per-type phase / matroid-feasible set) are
-    /// skipped by best_gain_dense without any per-row indirection. Only
-    /// meaningful after enable_incremental(); call between argmax rounds,
-    /// never concurrently with one.
-    void mark_ineligible(std::size_t i);
-    void set_eligible(std::size_t i, bool eligible);
-    bool is_eligible(std::size_t i) const {
-      return !eligible_.empty() && eligible_[i] != 0;
-    }
-
-    /// Blocked SoA argmax over candidate rows [begin, end): the per-chunk
-    /// map of the per-type and global greedy drivers; needs
-    /// enable_incremental(). A word-scan dirty pre-pass refreshes stale
-    /// eligible gains, then
-    /// the dispatched kernel scans the contiguous gain lane (or, when
-    /// quantize is on, max-reduces the u16 lane and exact-rechecks the
-    /// shortlist in double). Same semantics as best_gain: gains above
-    /// kMinGain, strict improvement, lowest index on exact ties — and
-    /// bit-identical to it per chunk, for any dispatched ISA.
-    BestGain best_gain_dense(std::size_t begin, std::size_t end) const;
     /// True when i's cached gain is stale (or tracking is off): the next
     /// gain(i) will recompute. Exposed for the dirty-invariant tests.
     bool is_dirty(std::size_t i) const {
@@ -162,18 +121,11 @@ class ChargingObjective {
     double value_ = 0.0;
     /// Incremental tracking (empty unless enable_incremental ran):
     /// cached_gain_[i] is valid iff dirty_[i] == 0. Plain bytes, not packed
-    /// bits — parallel argmax chunks clear flags of different candidates,
-    /// and distinct vector<uint8_t> elements are distinct memory locations
-    /// while bits of a shared word are not. All lanes are 32-byte aligned
-    /// for the SIMD scans.
-    mutable simd::avec<double> cached_gain_;
-    mutable simd::avec<std::uint8_t> dirty_;
-    /// Dense-argmax lanes: eligible_[i] gates the scan; quant_[i] is the
-    /// u16 image of cached_gain_[i] (0 for ineligible or non-positive
-    /// rows), maintained only when quantize_ is set.
-    simd::avec<std::uint8_t> eligible_;
-    mutable simd::avec<std::uint16_t> quant_;
-    bool quantize_ = false;
+    /// bits — parallel heap-build workers clear flags of different
+    /// candidates, and distinct vector<uint8_t> elements are distinct
+    /// memory locations while bits of a shared word are not.
+    mutable std::vector<double> cached_gain_;
+    mutable std::vector<std::uint8_t> dirty_;
   };
 
   const model::Scenario& scenario() const { return *scenario_; }

@@ -1,4 +1,4 @@
-// 32-byte-aligned vector storage for kernel-scanned arenas and lanes.
+// 32-byte-aligned vector storage for the kernel-read CSR arenas.
 //
 // The kernels use unaligned loads, so alignment is a performance courtesy
 // rather than a correctness requirement — but handing them cacheline-friendly

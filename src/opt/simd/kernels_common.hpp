@@ -82,52 +82,5 @@ inline double row_gain_log_generic(const std::uint32_t* ids, const double* power
   return sum;
 }
 
-/// Sequential argmax over [begin, end): comparisons only, so any correct
-/// implementation (this one, or the lane-parallel AVX2 scan) produces the
-/// identical hit. Seeding `gain` with min_gain + strict > encodes both the
-/// positivity threshold and the lowest-index tie-break in one compare.
-inline ArgmaxHit argmax_f64_generic(const double* gains,
-                                    const std::uint8_t* eligible,
-                                    std::size_t begin, std::size_t end,
-                                    double min_gain) {
-  ArgmaxHit hit{min_gain, kNoIndex};
-  for (std::size_t i = begin; i < end; ++i) {
-    if (eligible[i] != 0 && gains[i] > hit.gain) {
-      hit.gain = gains[i];
-      hit.index = i;
-    }
-  }
-  if (hit.index == kNoIndex) hit.gain = 0.0;
-  return hit;
-}
-
-inline std::uint16_t max_u16_generic(const std::uint16_t* quant,
-                                     std::size_t begin, std::size_t end) {
-  std::uint16_t best = 0;
-  for (std::size_t i = begin; i < end; ++i) {
-    best = std::max(best, quant[i]);
-  }
-  return best;
-}
-
-inline ArgmaxHit argmax_f64_where_u16_generic(
-    const std::uint16_t* quant, std::uint16_t qmax, const double* gains,
-    std::size_t begin, std::size_t end, double min_gain,
-    std::uint64_t* rechecks) {
-  ArgmaxHit hit{min_gain, kNoIndex};
-  std::uint64_t n = 0;
-  for (std::size_t i = begin; i < end; ++i) {
-    if (quant[i] != qmax) continue;
-    ++n;
-    if (gains[i] > hit.gain) {
-      hit.gain = gains[i];
-      hit.index = i;
-    }
-  }
-  *rechecks += n;
-  if (hit.index == kNoIndex) hit.gain = 0.0;
-  return hit;
-}
-
 }  // namespace
 }  // namespace hipo::opt::simd

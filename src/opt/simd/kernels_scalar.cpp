@@ -16,26 +16,6 @@ double scalar_row_gain_utility_u32(const std::uint32_t* ids,
   return row_gain_utility_generic(ids, powers, n, acc, th, wot);
 }
 
-ArgmaxHit scalar_argmax_f64(const double* gains, const std::uint8_t* eligible,
-                            std::size_t begin, std::size_t end,
-                            double min_gain) {
-  return argmax_f64_generic(gains, eligible, begin, end, min_gain);
-}
-
-std::uint16_t scalar_max_u16(const std::uint16_t* quant, std::size_t begin,
-                             std::size_t end) {
-  return max_u16_generic(quant, begin, end);
-}
-
-ArgmaxHit scalar_argmax_f64_where_u16(const std::uint16_t* quant,
-                                      std::uint16_t qmax, const double* gains,
-                                      std::size_t begin, std::size_t end,
-                                      double min_gain,
-                                      std::uint64_t* rechecks) {
-  return argmax_f64_where_u16_generic(quant, qmax, gains, begin, end, min_gain,
-                                      rechecks);
-}
-
 }  // namespace
 
 namespace detail {
@@ -47,11 +27,8 @@ double row_gain_log_u32(const std::uint32_t* ids, const double* powers,
 }
 
 const GainKernels* scalar_table() {
-  static const GainKernels table{
-      scalar_row_gain_utility_u32, row_gain_log_u32,
-      scalar_argmax_f64,           scalar_max_u16,
-      scalar_argmax_f64_where_u16,
-  };
+  static const GainKernels table{scalar_row_gain_utility_u32,
+                                 row_gain_log_u32};
   return &table;
 }
 

@@ -1,5 +1,6 @@
 #include "src/parallel/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 

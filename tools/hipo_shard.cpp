@@ -14,7 +14,7 @@
 //              [--tile-tasks N]     (initial tasks per streaming tile)
 //              [--mem-ceiling-mb N] (per-shard accounting ceiling; tile size
 //                                    backs off instead of OOM; 0 = off)
-//              [--greedy lazy|global|per-type]
+//              [--greedy lazy|per-type]  (as in hipo_solve)
 //              [--verify]           (also run single-process extract_all +
 //                                    span-path greedy and require the pool
 //                                    and placement to be bit-identical)

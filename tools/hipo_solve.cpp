@@ -5,10 +5,11 @@
 //   hipo_solve --scenario field.hipo [--out placement.hipo] [--svg out.svg]
 //              [--algorithm hipo|gppdcs|gpad|gpar|rpad|rpar]
 //              [--grid square|triangle] [--local-search] [--seed N]
-//              [--greedy lazy|global|per-type]  (selection mode; lazy is the
-//                                      default, all three same guarantee)
-//              [--gain-quantize]      (u16 top-k shortlist in the dense
-//                                      argmax; placement bit-identical)
+//              [--greedy lazy|per-type]  (selection mode: lazy is the
+//                                      matroid greedy and the default,
+//                                      per-type is Algorithm 3's type-by-type
+//                                      order; same guarantee, both run on
+//                                      the lazy heap)
 //              [--simd auto|scalar|avx2]  (pin the gain-kernel ISA; also
 //                                      settable via HIPO_SIMD env var)
 //              [--threads N]          (0 = hardware concurrency, the default;
@@ -64,7 +65,6 @@ core::SolveOptions hipo_options(Cli& cli, parallel::ThreadPool& pool) {
   opts.pool = &pool;
   opts.greedy =
       opt::parse_greedy_mode(cli.get_or("greedy", std::string("lazy")));
-  opts.gain_quantize = cli.has("gain-quantize");
   return opts;
 }
 
@@ -181,10 +181,9 @@ void observe_placement(const model::Scenario& scenario,
   }
 }
 
-/// Reject flag combinations where one flag would be silently ignored: a
-/// sweep script that passes `--gain-quantize` to the lazy greedy is
-/// measuring something other than what it says, and `--deltas-verify`
-/// without `--deltas` verifies nothing.
+/// Reject flag combinations where one flag would be silently ignored
+/// (`--deltas-verify` without `--deltas` verifies nothing), and the removed
+/// `--gain-quantize` with a pointer to what replaces it.
 void check_flag_interactions(Cli& cli) {
   const std::string algorithm = cli.get_or("algorithm", std::string("hipo"));
   if (cli.has("deltas-verify")) {
@@ -192,15 +191,13 @@ void check_flag_interactions(Cli& cli) {
                  "--deltas-verify requires --deltas FILE (there are no "
                  "deltas to verify)");
   }
-  if (cli.has("gain-quantize")) {
-    const std::string greedy = cli.get_or("greedy", std::string("lazy"));
-    HIPO_REQUIRE(greedy == "global" || greedy == "per-type",
-                 "--gain-quantize only affects the dense argmax of "
-                 "--greedy global|per-type; --greedy lazy ignores it");
-  }
+  HIPO_REQUIRE(!cli.has("gain-quantize"),
+               "--gain-quantize was removed: it never changed a placement "
+               "and both greedy modes now run on the lazy heap; drop it "
+               "(--greedy lazy gives the byte-identical placement of the "
+               "old --greedy global --gain-quantize)");
   if (algorithm != "hipo") {
-    for (const char* flag :
-         {"greedy", "gain-quantize", "local-search"}) {
+    for (const char* flag : {"greedy", "local-search"}) {
       HIPO_REQUIRE(!cli.has(flag),
                    std::string("--") + flag +
                        " only applies to --algorithm hipo (the baselines "
