@@ -6,6 +6,7 @@
 //     interval endpoints of "orientation ranges that keep device o covered".
 #pragma once
 
+#include <algorithm>
 #include <numbers>
 #include <vector>
 
@@ -29,6 +30,30 @@ double ccw_delta(double from, double to);
 
 /// Smallest absolute angular difference, in [0, π].
 double angle_distance(double a, double b);
+
+/// norm_angle without fmod, for a in (−4π, 4π). Outside [−2π, 2π) one
+/// ±kTwoPi is exact (Sterbenz), so it equals fmod's exact remainder; a
+/// negative remainder then takes the same rounded +kTwoPi as in
+/// norm_angle. Same bits as norm_angle except at a = −2π and −4π, where
+/// this returns +0.0 and norm_angle −0.0 (docs/ALGORITHMS.md, "A cheap
+/// gate for the point sweep").
+inline double fold_angle(double a) {
+  if (a < 0.0) {
+    a += kTwoPi;
+    if (a < 0.0) a += kTwoPi;
+  } else if (a >= kTwoPi) {
+    a -= kTwoPi;
+  }
+  return a >= kTwoPi ? 0.0 : a;
+}
+
+/// angle_distance through fold_angle: a − b must lie in (−4π, 4π). Every
+/// comparison of the result against a number decides as angle_distance's
+/// would (the only difference is the sign of a zero).
+inline double folded_angle_distance(double a, double b) {
+  const double d = fold_angle(a - b);
+  return std::min(d, kTwoPi - d);
+}
 
 /// A counter-clockwise interval on the circle: all angles reachable from
 /// `start` by rotating CCW at most `width`. `width` in [0, 2π]; width == 2π

@@ -76,7 +76,8 @@ void note_selection(double gain) {
 
 /// Explain the zero-utility devices of a selection: a device no row covers
 /// at all (an empty CSR column) could not have been served by any choice;
-/// one whose rows all went unselected lost out to the budget.
+/// one whose rows all went unselected lost out to the budget. Gauges, set
+/// per call, so they describe the last selection, not a sum over solves.
 void note_unserved_devices(const ChargingObjective& objective,
                            const GreedyResult& result) {
   if (!obs::metrics_enabled()) [[likely]] return;
@@ -94,12 +95,11 @@ void note_unserved_devices(const ChargingObjective& objective,
       ++unserved;
     }
   }
-  static obs::Counter& uncoverable_counter =
-      obs::counter("greedy.devices_uncoverable");
-  static obs::Counter& unserved_counter =
-      obs::counter("greedy.devices_unserved");
-  uncoverable_counter.add(uncoverable);
-  unserved_counter.add(unserved);
+  static obs::Gauge& uncoverable_gauge =
+      obs::gauge("greedy.devices_uncoverable");
+  static obs::Gauge& unserved_gauge = obs::gauge("greedy.devices_unserved");
+  uncoverable_gauge.set(static_cast<double>(uncoverable));
+  unserved_gauge.set(static_cast<double>(unserved));
 }
 
 void finish(const model::Scenario& scenario,

@@ -67,9 +67,9 @@ PartitionMatroid placement_matroid(const model::Scenario& scenario,
 /// into a CoverageMatrix and both modes run on the dirty-gain incremental
 /// state. Each row's gain goes through one canonical kernel expression and
 /// fold order, so results are bit-identical across ISAs (ctest-asserted).
-/// With metrics on, also counts the devices no row covers
-/// (greedy.devices_uncoverable) and those no selected row covers
-/// (greedy.devices_unserved). An empty pool yields an empty placement.
+/// With metrics on, also sets the gauges greedy.devices_uncoverable (the
+/// devices no row covers) and greedy.devices_unserved (those no selected
+/// row covers) for this selection. An empty pool yields an empty placement.
 GreedyResult select_strategies(const model::Scenario& scenario,
                                std::span<const pdcs::Candidate> candidates,
                                GreedyMode mode = GreedyMode::kPerType,

@@ -31,6 +31,14 @@ double combine_lanes(__m256d vsum) {
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
 }
 
+/// base[idx[l]] for the four lanes. A masked gather with every lane on and
+/// a zeroed source loads the same values as the unmasked one, whose
+/// source operand GCC 12 reports as maybe-uninitialized.
+__m256d gather(const double* base, __m128i idx) {
+  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  return _mm256_mask_i32gather_pd(_mm256_setzero_pd(), base, idx, all, 8);
+}
+
 double avx2_row_gain_utility_u32(const std::uint32_t* ids,
                                  const double* powers, std::size_t n,
                                  const double* acc, const double* th,
@@ -40,9 +48,9 @@ double avx2_row_gain_utility_u32(const std::uint32_t* ids,
   for (std::size_t k = 0; k < n4; k += 4) {
     const __m128i idx = _mm_loadu_si128(
         reinterpret_cast<const __m128i*>(ids + k));
-    const __m256d vacc = _mm256_i32gather_pd(acc, idx, 8);
-    const __m256d vth = _mm256_i32gather_pd(th, idx, 8);
-    const __m256d vwot = _mm256_i32gather_pd(wot, idx, 8);
+    const __m256d vacc = gather(acc, idx);
+    const __m256d vth = gather(th, idx);
+    const __m256d vwot = gather(wot, idx);
     const __m256d vq = _mm256_loadu_pd(powers + k);
     const __m256d m1 = _mm256_min_pd(_mm256_add_pd(vacc, vq), vth);
     const __m256d m0 = _mm256_min_pd(vacc, vth);

@@ -437,16 +437,20 @@ std::vector<Candidate> extract_device_task(const model::Scenario& scenario,
 
     // Pools: devices within charging range of each position (the exact,
     // sorted query_radius pool), scanned out of one neighborhood of o_i
-    // that reaches every position's pool.
+    // that reaches every position's pool. The sweep binds the
+    // neighborhood once, so its receiver prefilter is built per (task,
+    // type), and each pool is its local ids. Every position is feasible
+    // (PositionSink admits no other).
     const double range = ct.d_max + geom::kCoverEps;
     double reach = 0.0;
     for (Vec2 p : positions) reach = std::max(reach, geom::distance(p, oi));
     arena.clear();
     if (!positions.empty()) {
       hood.fetch(devices, oi, reach, range);
+      sweep.bind(hood.points());
       for (Vec2 p : positions) {
         hood.within(p, range);
-        sweep.run(q, p, hood.pool(), hood.local(), arena);
+        sweep.run(q, p, hood.local(), arena);
       }
     }
     sweep_s += clock.lap();
@@ -462,12 +466,20 @@ std::vector<Candidate> extract_device_task(const model::Scenario& scenario,
     static obs::Counter& swept = obs::counter("extract.point_orientations");
     static obs::Counter& kept = obs::counter("extract.point_rows_kept");
     static obs::Counter& generated = obs::counter("extract.positions");
+    static obs::Counter& gate_pairs = obs::counter("extract.gate_pairs");
+    static obs::Counter& gate_fast =
+        obs::counter("extract.gate_fast_decisions");
+    static obs::Counter& gate_exact =
+        obs::counter("extract.gate_exact_checks");
     static obs::Accum& positions_acc = obs::accum("extract.positions_s");
     static obs::Accum& sweep_acc = obs::accum("extract.sweep_s");
     static obs::Accum& filter_acc = obs::accum("extract.task_filter_s");
     swept.bump(sweep.orientations());
     kept.bump(sweep.rows_kept());
     generated.bump(num_positions);
+    gate_pairs.bump(sweep.gate_pairs());
+    gate_fast.bump(sweep.gate_fast_decisions());
+    gate_exact.bump(sweep.gate_exact_checks());
     positions_acc.add(positions_s);
     sweep_acc.add(sweep_s);
     filter_acc.add(filter_s);

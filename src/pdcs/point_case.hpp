@@ -44,15 +44,21 @@ struct SweepArena {
 /// positions (extract_device_task) allocates nothing per position once its
 /// buffers have grown, and the sweep tallies the rows into and out of its
 /// point-local dominance filter. Not thread-safe; one per task.
+///
+/// The sweep works on bound devices: bind() names them once (a task binds
+/// its neighbourhood per charger type) and gate()/run() take ids into them.
+/// bind() also builds each device's receiver prefilter, a cosine test that
+/// decides most pairs without atan2 or hypot; every pair it cannot decide
+/// takes the exact Eq. (1) path, so results are those of the exact gate.
 class PointSweep {
  public:
   /// One pool device that a type-q charger at the gated position covers
   /// under some orientation.
   struct DeviceRow {
     std::size_t device;
-    /// The caller's id for `device` (parallel entry of `ids`).
+    /// The id the device was gated under.
     std::uint32_t id;
-    /// Raw bearing (device − position).angle(), in (−π, π].
+    /// Raw bearing (device − position).angle(), in [−π, π].
     double bearing;
     /// norm_angle(bearing), in [0, 2π).
     double theta;
@@ -62,29 +68,64 @@ class PointSweep {
     double power;
   };
 
+  /// What the prefilter decides for one (position, device) pair.
+  enum class Verdict : std::uint8_t {
+    kReject,  ///< the exact gate rejects it (d_min or receiver sector)
+    kPass,    ///< the exact receiver-sector test passes
+    kExact,   ///< undecided: the exact tests run
+  };
+
+  /// Prefilter margins (docs/ALGORITHMS.md, "A cheap gate for the point
+  /// sweep"): the fast reject needs the receiver angle past h + kDelta,
+  /// both cosine tests clear their threshold by kTau, and kAngleErr bounds
+  /// the rounding of the exact test's angle for orientations up to
+  /// kMaxOrientation in magnitude (devices beyond it always go exact).
+  static constexpr double kDelta = 1e-6;
+  static constexpr double kTau = 1e-12;
+  static constexpr double kAngleErr = 1e-13;
+  static constexpr double kMaxOrientation = 64.0;
+  /// Pairs this close (kCoverEps/(δ − ε)) always take the exact path: below
+  /// it the exact test's slack kCoverEps/d can exceed the reject margin.
+  static constexpr double kExactBelow = geom::kCoverEps / (kDelta - kAngleErr);
+
   /// The scenario (and `cache`, if any) must outlive the sweep. With
   /// `cache`, line-of-sight verdicts are memoized (results identical).
+  /// Builds the cosine thresholds of each device type.
   explicit PointSweep(const model::Scenario& scenario,
-                      model::LosCache* cache = nullptr)
-      : scenario_(&scenario), cache_(cache) {}
+                      model::LosCache* cache = nullptr);
 
-  /// The device table at `pos`: every device of `pool` (ascending), in pool
-  /// order, that passes all Eq. (1) conditions except the charger's sector
-  /// angle. `ids` is parallel to `pool`. Valid until the next call.
+  /// Binds the devices that later ids name: id k stands for devices[k]
+  /// until the next bind. Builds each device's position, unit receiving
+  /// axis and cosine thresholds once, for every position gated after.
+  void bind(std::span<const std::size_t> devices);
+
+  /// The prefilter's verdict for bound device `id` and a type-q charger at
+  /// `pos`, as gate() makes it.
+  Verdict prefilter(std::size_t charger_type, geom::Vec2 pos,
+                    std::uint32_t id) const;
+
+  /// The device table at `pos`: every bound device named in `ids`, in
+  /// `ids` order, that passes all Eq. (1) conditions except the charger's
+  /// sector angle. Valid until the next call.
   std::span<const DeviceRow> gate(std::size_t charger_type, geom::Vec2 pos,
-                                  std::span<const std::size_t> pool,
                                   std::span<const std::uint32_t> ids);
 
   /// Appends the rows of extract_point_case(scenario, charger_type, pos,
-  /// pool) to `out`, in the same order, with covered devices written as
-  /// their `ids` entries. Ids must rise with the pool's device indices.
+  /// pool) to `out`, in the same order, where `pool` is the bound devices
+  /// that `ids` name and covered devices are written as their ids. Ids must
+  /// rise with the devices' indices. `pos` must be a feasible charger
+  /// position: the sweep does not test it (extract_point_case does).
   void run(std::size_t charger_type, geom::Vec2 pos,
-           std::span<const std::size_t> pool,
            std::span<const std::uint32_t> ids, SweepArena& out);
 
   /// Non-empty orientation rows swept, and maximal sets emitted, by run().
   std::uint64_t orientations() const { return orientations_; }
   std::uint64_t rows_kept() const { return rows_kept_; }
+  /// Pairs gated; pairs the prefilter decided; pairs whose receiver sector
+  /// took the exact (atan2) test.
+  std::uint64_t gate_pairs() const { return gate_pairs_; }
+  std::uint64_t gate_fast_decisions() const { return gate_fast_; }
+  std::uint64_t gate_exact_checks() const { return gate_exact_; }
 
  private:
   struct OrientationSet {
@@ -94,8 +135,25 @@ class PointSweep {
     std::size_t mask;  // offset into masks_
   };
 
+  Verdict verdict(geom::Vec2 so, std::uint32_t id,
+                  double d_min_reject) const;
+  double d_min_reject(std::size_t charger_type) const;
+
   const model::Scenario* scenario_;
   model::LosCache* cache_;
+  // Per device type: the cosine thresholds of the fast pass and the fast
+  // reject (they depend only on the receiving angle).
+  std::vector<double> type_pass_;
+  std::vector<double> type_reject_;
+  // The bound devices, by id: index, position, unit receiving axis, and
+  // the cosine thresholds of the fast pass and the fast reject.
+  std::vector<std::size_t> devices_;
+  std::vector<double> xs_;
+  std::vector<double> ys_;
+  std::vector<double> ux_;
+  std::vector<double> uy_;
+  std::vector<double> cos_pass_;
+  std::vector<double> cos_reject_;
   std::vector<DeviceRow> rows_;
   std::vector<double> orientations_at_;
   std::vector<std::uint64_t> masks_;
@@ -103,6 +161,9 @@ class PointSweep {
   std::vector<std::size_t> kept_;
   std::uint64_t orientations_ = 0;
   std::uint64_t rows_kept_ = 0;
+  std::uint64_t gate_pairs_ = 0;
+  std::uint64_t gate_fast_ = 0;
+  std::uint64_t gate_exact_ = 0;
 };
 
 /// Devices a type-q charger at `pos` could cover under SOME orientation:

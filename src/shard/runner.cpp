@@ -3,6 +3,9 @@
 #include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include <algorithm>
 #include <cerrno>
@@ -252,6 +255,18 @@ void run_processes(const model::Scenario& scenario, const ShardPlan& plan,
   HIPO_REQUIRE(!dirty_exit, "shard worker exited abnormally");
 }
 
+/// Free the merged pools and return the free heap pages to the OS. The
+/// pools' segments and the frame parser's trees are freed in an order set
+/// by frame arrival, so without the trim a caller that extracts
+/// repeatedly keeps a different amount of freed memory resident after each
+/// run, and its RSS creeps by a timing-dependent amount.
+void release_pools(std::vector<CandidatePool>& pools) {
+  std::vector<CandidatePool>().swap(pools);
+#if defined(__GLIBC__)
+  ::malloc_trim(0);
+#endif
+}
+
 }  // namespace
 
 pdcs::ExtractionResult merge_pools(const model::Scenario& scenario,
@@ -313,9 +328,12 @@ pdcs::ExtractionResult extract_sharded(const model::Scenario& scenario,
 
   obs::Stopwatch merge_watch;
   pdcs::ExtractionResult result;
+  std::size_t pool_bytes = 0;
   {
     obs::ScopedPhase phase("shard.merge");
     result = merge_pools(scenario, pools, opt.extract, opt.pool);
+    for (const CandidatePool& p : pools) pool_bytes += p.bytes();
+    release_pools(pools);
   }
   result.task_seconds.assign(scenario.num_devices(), 0.0);
   for (std::size_t k = 0; k < plan.num_shards(); ++k) {
@@ -334,14 +352,13 @@ pdcs::ExtractionResult extract_sharded(const model::Scenario& scenario,
     stats_out->rows = 0;
     stats_out->tile_backoffs = 0;
     stats_out->peak_shard_bytes = 0;
-    stats_out->pool_bytes = 0;
+    stats_out->pool_bytes = pool_bytes;
     for (std::size_t k = 0; k < plan.num_shards(); ++k) {
       stats_out->shard_seconds.push_back(stats[k].seconds);
       stats_out->rows += stats[k].rows;
       stats_out->tile_backoffs += stats[k].tile_backoffs;
       stats_out->peak_shard_bytes =
           std::max(stats_out->peak_shard_bytes, stats[k].peak_bytes);
-      stats_out->pool_bytes += pools[k].bytes();
     }
     stats_out->merge_seconds = merge_watch.seconds();
   }

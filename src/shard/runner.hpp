@@ -17,6 +17,10 @@
 // parent multiplexes pipes with poll(), so a worker blocked on a full pipe
 // never stalls the others. Children _exit(); a child error travels back as
 // an {"error": ...} frame and rethrows in the parent as ConfigError.
+//
+// Memory. After the merge the parent frees its pools and, on glibc, calls
+// malloc_trim(0), so repeated runs start from the same resident heap
+// whatever order the frames arrived in.
 #pragma once
 
 #include <cstddef>

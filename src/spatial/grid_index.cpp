@@ -102,10 +102,7 @@ void Neighborhood::fetch(const GridIndex& index, Vec2 center, double reach,
     xs_.push_back(index.points()[idx].x);
     ys_.push_back(index.points()[idx].y);
   }
-  if (pool_.size() < ids_.size()) {
-    pool_.resize(ids_.size());
-    local_.resize(ids_.size());
-  }
+  if (local_.size() < ids_.size()) local_.resize(ids_.size());
   found_ = 0;
 }
 
@@ -115,7 +112,6 @@ void Neighborhood::within(Vec2 p, double r) {
   const double r2 = r * r;
   std::size_t n = 0;
   for (std::size_t k = 0; k < ids_.size(); ++k) {
-    pool_[n] = ids_[k];
     local_[n] = static_cast<std::uint32_t>(k);
     n += distance2(Vec2{xs_[k], ys_[k]}, p) <= r2 ? 1 : 0;
   }

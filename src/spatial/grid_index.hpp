@@ -63,14 +63,12 @@ class Neighborhood {
   void fetch(const GridIndex& index, geom::Vec2 center, double reach,
              double r);
 
-  /// Finds the fetched points within r of p; pool() and local() hold them
-  /// until the next call.
+  /// Finds the fetched points within r of p; local() holds them until the
+  /// next call.
   void within(geom::Vec2 p, double r);
 
-  /// The last within()'s points: ascending indices, as query_radius.
-  std::span<const std::size_t> pool() const { return {pool_.data(), found_}; }
-  /// Their positions in points() — an order-preserving remap of the
-  /// indices onto [0, size()).
+  /// The last within()'s points as positions in points(), ascending: mapped
+  /// through points() they are exactly query_radius(p, r).
   std::span<const std::uint32_t> local() const {
     return {local_.data(), found_};
   }
@@ -83,7 +81,6 @@ class Neighborhood {
   std::vector<std::size_t> ids_;
   std::vector<double> xs_;
   std::vector<double> ys_;
-  std::vector<std::size_t> pool_;
   std::vector<std::uint32_t> local_;
   std::size_t found_ = 0;
 };

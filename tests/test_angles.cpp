@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "src/util/rng.hpp"
 
@@ -45,6 +48,100 @@ TEST(AngleDistance, SymmetricAndBounded) {
 
 TEST(AngleDistance, WrapAround) {
   EXPECT_NEAR(angle_distance(0.1, kTwoPi - 0.1), 0.2, 1e-12);
+}
+
+// fold_angle must give norm_angle's bits on (−4π, 4π), except the sign of
+// the zero at −2π (and −4π): fmod keeps the dividend's sign there.
+TEST(FoldAngle, SameBitsAsNormAngle) {
+  std::vector<double> args = {0.0,          -0.0,          kPi,
+                              -kPi,         kTwoPi,        -kTwoPi,
+                              3.0 * kPi,    -3.0 * kPi,    1e-300,
+                              -1e-300,      -4.9e-324,     4.9e-324,
+                              kTwoPi / 2.0, 2.0 * kTwoPi};
+  for (const double base : {0.0, kPi, -kPi, kTwoPi, -kTwoPi, 3.0 * kPi,
+                            -3.0 * kPi, 2.0 * kTwoPi, -2.0 * kTwoPi}) {
+    double up = base, down = base;
+    for (int k = 0; k < 4; ++k) {
+      up = std::nextafter(up, 100.0);
+      down = std::nextafter(down, -100.0);
+      args.push_back(up);
+      args.push_back(down);
+    }
+  }
+  hipo::Rng rng(17);
+  for (int i = 0; i < 200000; ++i) args.push_back(rng.uniform(-4.0, 4.0) * kPi);
+  for (const double a : args) {
+    if (!(std::abs(a) < 2.0 * kTwoPi) && a != -2.0 * kTwoPi) continue;
+    const double want = norm_angle(a);
+    const double got = fold_angle(a);
+    if (a == -kTwoPi || a == -2.0 * kTwoPi) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(want),
+                std::bit_cast<std::uint64_t>(-0.0));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(0.0));
+      continue;
+    }
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << "a = " << a;
+  }
+}
+
+// The point sweep's two charger-sector comparisons, made on folded
+// distances: θ − φ in (−2π, 2π) (θ, φ in [0, 2π)) and bearing − φ in
+// [−3π, π] (bearing in [−π, π]). Every outcome must match angle_distance,
+// at the boundaries φ ± (half + 1e-9) ± k·ulp, at bearings ±π, 0 and
+// φ = 0, π, 2π − ulp (−π − π = −2π is the −0.0 case), and at random.
+TEST(FoldedAngleDistance, ComparisonsMatchAngleDistance) {
+  const double top = std::nextafter(kTwoPi, 0.0);
+  std::vector<double> phis = {0.0, kPi, top, std::nextafter(kPi, 0.0),
+                              kPi / 2.0, 1e-300};
+  std::vector<double> halves = {kPi / 4.0, kPi / 2.0, 0.3,
+                                std::nextafter(kPi, 0.0) / 2.0, 1e-6};
+  hipo::Rng rng(29);
+  for (int i = 0; i < 64; ++i) phis.push_back(norm_angle(rng.angle()));
+  std::size_t compared = 0, inside = 0;
+  const auto check = [&](double x, double phi, double half, double slack) {
+    // x as a normalized θ and as a raw bearing in [−π, π].
+    const double theta = fold_angle(x);
+    const double bearing = std::abs(x) <= kPi      ? x
+                           : theta > kPi ? theta - kTwoPi
+                                         : theta;
+    for (const double a : {theta, bearing}) {
+      const double want = angle_distance(a, phi);
+      const double got = folded_angle_distance(a, phi);
+      ASSERT_EQ(got, want) << "a " << a << " phi " << phi;
+      for (const double limit : {half + 1e-9, half + slack, half, 0.0}) {
+        ASSERT_EQ(got > limit, want > limit) << "a " << a << " phi " << phi;
+        ASSERT_EQ(got <= limit, want <= limit);
+      }
+      ++compared;
+      inside += want <= half + 1e-9 ? 1 : 0;
+    }
+  };
+  for (const double phi : phis) {
+    for (const double half : halves) {
+      const double slack = 1e-7 / rng.uniform(0.1, 10.0);
+      for (const double sign : {1.0, -1.0}) {
+        double offset = half + 1e-9;
+        double lo = offset, hi = offset;
+        for (int k = 0; k < 6; ++k) {
+          check(phi + sign * lo, phi, half, slack);
+          check(phi + sign * hi, phi, half, slack);
+          lo = std::nextafter(lo, 0.0);
+          hi = std::nextafter(hi, 10.0);
+        }
+      }
+      for (const double b : {kPi, -kPi, 0.0, -0.0, top, half}) {
+        check(b, phi, half, slack);
+      }
+      for (int i = 0; i < 200; ++i) check(rng.angle(), phi, half, slack);
+    }
+  }
+  // Bearing −π against φ = π: bearing − φ is exactly −2π.
+  EXPECT_EQ(folded_angle_distance(-kPi, kPi), angle_distance(-kPi, kPi));
+  EXPECT_GT(compared, 100000u);
+  EXPECT_GT(inside, 0u);
 }
 
 TEST(AngleInterval, ContainsInterior) {

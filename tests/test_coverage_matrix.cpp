@@ -122,7 +122,9 @@ TEST(CoverageMatrix, InvertedIndexIsExactTranspose) {
   for (std::size_t j = 0; j < matrix.num_devices(); ++j) {
     const auto rows = matrix.rows_covering(j);
     for (std::size_t k = 0; k < rows.size(); ++k) {
-      if (k > 0) EXPECT_LT(rows[k - 1], rows[k]) << "device " << j;
+      if (k > 0) {
+        EXPECT_LT(rows[k - 1], rows[k]) << "device " << j;
+      }
       inverted.insert({rows[k], j});
     }
   }
@@ -354,7 +356,9 @@ void expect_transpose_consistent(const opt::CoverageMatrix& m) {
   for (std::size_t j = 0; j < m.num_devices(); ++j) {
     const auto rows = m.rows_covering(j);
     for (std::size_t k = 0; k < rows.size(); ++k) {
-      if (k > 0) EXPECT_LT(rows[k - 1], rows[k]) << "device " << j;
+      if (k > 0) {
+        EXPECT_LT(rows[k - 1], rows[k]) << "device " << j;
+      }
       inverted.insert({rows[k], j});
     }
   }

@@ -4,8 +4,11 @@
 
 #include <sstream>
 
+#include "src/core/replan.hpp"
 #include "src/core/solver.hpp"
 #include "src/model/io.hpp"
+#include "src/obs/metrics.hpp"
+#include "src/opt/delta.hpp"
 
 #ifndef HIPO_DATA_DIR
 #error "HIPO_DATA_DIR must be defined by the build"
@@ -47,6 +50,29 @@ TEST_P(DataFileTest, RoundTripsExactly) {
 
 INSTANTIATE_TEST_SUITE_P(Shipped, DataFileTest,
                          ::testing::Values("office.hipo", "courtyard.hipo"));
+
+// The zero-utility gauges describe one solve: replaying the courtyard
+// delta script (a cold solve plus one warm re-solve per op) must not add
+// them up past the scenario's device count.
+TEST(CourtyardDeltas, ZeroUtilityGaugesDescribeOneSolve) {
+  const std::string dir = HIPO_DATA_DIR;
+  const auto scenario = model::read_scenario_file(dir + "/courtyard.hipo");
+  const auto ops = opt::read_delta_script_file(dir + "/courtyard_deltas.jsonl");
+  ASSERT_FALSE(ops.empty());
+  obs::set_metrics_enabled(true);
+  obs::reset_metrics();
+  core::DeltaSession session(scenario.to_config(),
+                             core::replan_options(core::SolveOptions{}));
+  for (const auto& op : ops) (void)session.apply(op);
+  const double uncoverable = obs::gauge("greedy.devices_uncoverable").value();
+  const double unserved = obs::gauge("greedy.devices_unserved").value();
+  obs::set_metrics_enabled(false);
+  obs::reset_metrics();
+  EXPECT_EQ(session.scenario().num_devices(), 8u);
+  EXPECT_LE(uncoverable + unserved, 8.0);
+  EXPECT_GE(uncoverable, 0.0);
+  EXPECT_GE(unserved, 0.0);
+}
 
 }  // namespace
 }  // namespace hipo

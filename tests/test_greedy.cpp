@@ -400,7 +400,8 @@ TEST(Greedy, ParseRejectsRemovedGlobalAndNamesLazy) {
 
 // The report's explanation of zero-utility devices: a device with an empty
 // CSR column is uncoverable; one whose rows all went unselected is
-// unserved. Counted only with metrics on; selection is unchanged.
+// unserved. Set only with metrics on; selection is unchanged. They are
+// gauges of one selection: a second call reports the same counts.
 TEST(Greedy, CountsUncoverableAndUnservedDevices) {
   const auto s = three_type_scenario({1, 0, 0}, 4);
   const std::vector<pdcs::Candidate> cands = {
@@ -410,17 +411,17 @@ TEST(Greedy, CountsUncoverableAndUnservedDevices) {
   const auto off = select_strategies(s, cands, GreedyMode::kLazyGlobal);
   obs::set_metrics_enabled(true);
   obs::reset_metrics();
+  (void)select_strategies(s, cands, GreedyMode::kLazyGlobal);
   const auto on = select_strategies(s, cands, GreedyMode::kLazyGlobal);
-  const auto uncoverable =
-      obs::counter("greedy.devices_uncoverable").value();
-  const auto unserved = obs::counter("greedy.devices_unserved").value();
+  const auto uncoverable = obs::gauge("greedy.devices_uncoverable").value();
+  const auto unserved = obs::gauge("greedy.devices_unserved").value();
   const auto pops = obs::counter("greedy.lazy_pops").value();
   obs::set_metrics_enabled(false);
   obs::reset_metrics();
   EXPECT_EQ(on.selected, (std::vector<std::size_t>{0}));
   expect_matches_reference(on, off, "metrics on vs off");
-  EXPECT_EQ(uncoverable, 1u);
-  EXPECT_EQ(unserved, 1u);
+  EXPECT_EQ(uncoverable, 1.0);
+  EXPECT_EQ(unserved, 1.0);
   EXPECT_GT(pops, 0u);
 }
 

@@ -275,18 +275,23 @@ TEST(PointSweep, BoundaryMarginsMatchReference) {
 
 // A sweep reused across positions and types (as extract_device_task uses
 // it) appends exactly what fresh per-position calls return, and tallies
-// the rows into and out of its point-local filter.
+// the rows into and out of its point-local filter and its gate.
 TEST(PointSweep, ReusedSweepMatchesFreshCallsAndTallies) {
   const auto s = reference_scenario(5, 2, 1.0);
   const auto all = all_devices(s);
   // Pool entry k carries id k, so the arena's ids index `all`.
   const std::vector<std::uint32_t> ids(all.begin(), all.end());
   PointSweep sweep(s);
+  sweep.bind(all);
   SweepArena arena;
   std::vector<Candidate> fresh;
+  std::uint64_t pairs = 0;
   for (const Vec2 pos : reference_positions(s, 5)) {
+    // run() sweeps only feasible positions, as a task's are.
+    if (!s.position_feasible(pos)) continue;
     for (std::size_t q = 0; q < s.num_charger_types(); ++q) {
-      sweep.run(q, pos, all, ids, arena);
+      pairs += ids.size();
+      sweep.run(q, pos, ids, arena);
       for (auto& c : extract_point_case(s, q, pos, all)) {
         fresh.push_back(std::move(c));
       }
@@ -300,6 +305,202 @@ TEST(PointSweep, ReusedSweepMatchesFreshCallsAndTallies) {
   EXPECT_EQ(sweep.rows_kept(), appended.size());
   EXPECT_GT(sweep.rows_kept(), 0u);
   EXPECT_GE(sweep.orientations(), sweep.rows_kept());
+  EXPECT_EQ(sweep.gate_pairs(), pairs);
+  EXPECT_GT(sweep.gate_fast_decisions(), 0u);
+  EXPECT_LE(sweep.gate_fast_decisions() + sweep.gate_exact_checks(), pairs);
+}
+
+// The exact gate on one pair, line of sight aside: whether it rejects the
+// pair (range, coincidence or receiver sector), and whether the receiver
+// sector test alone passes.
+struct ExactGate {
+  bool rejects;
+  bool receiver_passes;
+};
+
+ExactGate exact_gate(const model::Scenario& s, std::size_t q, Vec2 pos,
+                     std::size_t j) {
+  const auto& ct = s.charger_type(q);
+  const auto& dev = s.device(j);
+  const Vec2 so = dev.pos - pos;
+  const double d = so.norm();
+  const double recv_angle = s.device_type(dev.type).angle;
+  bool receiver = true;
+  if (d > geom::kEps && recv_angle < kTwoPi) {
+    const double ang_eps = geom::kCoverEps / std::max(d, 1e-12);
+    receiver = !(geom::angle_distance((-so).angle(), dev.orientation) >
+                 recv_angle / 2.0 + ang_eps);
+  }
+  const bool in_range = !(d < ct.d_min - geom::kCoverEps ||
+                          d > ct.d_max + geom::kCoverEps) &&
+                        d > geom::kEps;
+  return {!in_range || !receiver, receiver};
+}
+
+// The gate's prefilter may only decide what the exact gate decides: a
+// kReject pair is rejected by the exact gate, and a kPass pair passes the
+// exact receiver test. Chargers sit at half-angle h + Δ off each device's
+// axis, with Δ at ±k·ulp, inside the δ band and around δ ± τ, at distances
+// around the kCoverEps/(δ − ε) cutoff, around d_min − kCoverEps − 1e-9 and
+// near zero, for receivers with h + δ ≥ π, full circles and orientations
+// past the prefilter's range.
+TEST(PointSweep, PrefilterDecisionsMatchExactGate) {
+  using Verdict = PointSweep::Verdict;
+  constexpr double kDelta = PointSweep::kDelta;
+  auto cfg = test::simple_config();
+  cfg.region.lo = {-10.0, -10.0};
+  cfg.region.hi = {10.0, 10.0};
+  cfg.charger_types = {{kPi / 2.0, 1.0, 5.0}, {kPi, 0.0, 5.0}};
+  const double below_full = std::nextafter(kTwoPi, 0.0);
+  cfg.device_types = {{kPi / 3.0},          {kPi / 2.0},
+                      {1e-6},               {kTwoPi - 2.0 * kDelta},
+                      {kTwoPi - kDelta},    {below_full},
+                      {kTwoPi}};
+  cfg.pair_params.assign(
+      cfg.charger_types.size() * cfg.device_types.size(), {100.0, 40.0});
+  cfg.charger_counts = {1, 1};
+  for (std::size_t t = 0; t < cfg.device_types.size(); ++t) {
+    for (const double o : {0.7, -2.5, 5.9, 40.0, 100.0}) {
+      cfg.devices.push_back(test::device_at(0.0, 0.0, o, t));
+    }
+  }
+  const model::Scenario s(std::move(cfg));
+  const auto all = all_devices(s);
+  PointSweep sweep(s);
+  sweep.bind(all);
+
+  const double cut = PointSweep::kExactBelow;
+  std::vector<double> radii = {0.0,  1e-300, 1e-12, geom::kEps, 0.05,
+                               0.2,  3.0,    5.0,   5.0 + geom::kCoverEps};
+  for (const double r : {cut, 1.0 - geom::kCoverEps - 1e-9,
+                         1.0 - geom::kCoverEps}) {
+    double lo = r, hi = r;
+    for (int k = 0; k < 3; ++k) {
+      radii.push_back(lo = std::nextafter(lo, 0.0));
+      radii.push_back(hi = std::nextafter(hi, 10.0));
+    }
+    radii.push_back(r);
+    radii.push_back(r * (1.0 - 1e-12));
+    radii.push_back(r * (1.0 + 1e-12));
+  }
+  std::vector<double> offsets = {-0.1,         -2.0 * kDelta, -kDelta / 2.0,
+                                 -1e-9,        -1e-12,        0.0,
+                                 1e-12,        kDelta / 2.0,  kDelta - 1e-12,
+                                 kDelta,       kDelta + 1e-13, kDelta + 1e-12,
+                                 kDelta + 1e-11, 2.0 * kDelta, 0.1,
+                                 1.0};
+
+  std::size_t counts[3] = {0, 0, 0};
+  for (std::size_t j : all) {
+    const auto& dev = s.device(j);
+    const double h = s.device_type(dev.type).angle / 2.0;
+    std::vector<double> angles;
+    for (const double sign : {1.0, -1.0}) {
+      for (const double delta : offsets) {
+        angles.push_back(dev.orientation + sign * (h + delta));
+      }
+      double lo = h, hi = h;
+      for (int k = 0; k < 4; ++k) {
+        angles.push_back(dev.orientation + sign * (lo = std::nextafter(lo, 0.0)));
+        angles.push_back(dev.orientation + sign * (hi = std::nextafter(hi, 9.0)));
+      }
+    }
+    angles.push_back(dev.orientation);
+    angles.push_back(dev.orientation + kPi);
+    for (const double a : angles) {
+      for (const double r : radii) {
+        const Vec2 pos = dev.pos + Vec2{r * std::cos(a), r * std::sin(a)};
+        for (std::size_t q = 0; q < s.num_charger_types(); ++q) {
+          // Every device sits at the origin, so each position probes all.
+          for (std::size_t k : all) {
+            const Verdict v =
+                sweep.prefilter(q, pos, static_cast<std::uint32_t>(k));
+            ++counts[static_cast<int>(v)];
+            if (v == Verdict::kExact) continue;
+            const ExactGate want = exact_gate(s, q, pos, k);
+            if (v == Verdict::kReject) {
+              ASSERT_TRUE(want.rejects)
+                  << "device " << k << " pos " << pos << " type " << q;
+            } else {
+              ASSERT_TRUE(want.receiver_passes)
+                  << "device " << k << " pos " << pos << " type " << q;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(counts[static_cast<int>(Verdict::kReject)], 0u);
+  EXPECT_GT(counts[static_cast<int>(Verdict::kPass)], 0u);
+  EXPECT_GT(counts[static_cast<int>(Verdict::kExact)], 0u);
+
+  // Far from every boundary the prefilter decides; on a boundary, within
+  // the cutoff and past kMaxOrientation it leaves the pair to the exact
+  // path. Device 5 has type 1 (h = π/4) and orientation 0.7.
+  const auto at = [](double a, double r) {
+    return Vec2{r * std::cos(a), r * std::sin(a)};
+  };
+  ASSERT_EQ(s.device(5).orientation, 0.7);
+  EXPECT_EQ(sweep.prefilter(0, at(0.7, 3.0), 5), Verdict::kPass);
+  EXPECT_EQ(sweep.prefilter(0, at(0.7 + kPi, 3.0), 5), Verdict::kReject);
+  EXPECT_EQ(sweep.prefilter(0, at(0.7 + kPi / 4.0, 3.0), 5), Verdict::kExact);
+  EXPECT_EQ(sweep.prefilter(1, at(0.7 + kPi, cut / 2.0), 5), Verdict::kExact);
+  EXPECT_EQ(sweep.prefilter(0, at(0.7, 0.5), 5), Verdict::kReject);  // d_min
+  ASSERT_EQ(s.device(9).orientation, 100.0);
+  EXPECT_EQ(sweep.prefilter(0, at(100.0 + kPi, 3.0), 9), Verdict::kExact);
+  // A full-circle receiver (type 6) passes from any side.
+  EXPECT_EQ(sweep.prefilter(0, at(2.0, 3.0), 30), Verdict::kPass);
+}
+
+// A task sweeps positions its own constructions made (all feasible), with
+// the sweep bound to a neighbourhood superset and each pool given as local
+// ids; the rows must equal extract_point_case on the query_radius pool.
+TEST(PointSweep, TaskRunMatchesWrapper) {
+  const auto s = reference_scenario(11, 8, 1.0);
+  std::vector<Vec2> points;
+  for (std::size_t j = 0; j < s.num_devices(); ++j) {
+    points.push_back(s.device(j).pos);
+  }
+  const spatial::GridIndex grid(s.region(), std::move(points));
+  const ExtractOptions eopt;
+  PointSweep sweep(s);
+  spatial::Neighborhood hood;
+  SweepArena arena;
+  std::size_t positions = 0, nonempty = 0;
+  for (std::size_t i = 0; i < s.num_devices(); i += 7) {
+    const Vec2 oi = s.device(i).pos;
+    for (std::size_t q = 0; q < s.num_charger_types(); ++q) {
+      const double range = s.charger_type(q).d_max + geom::kCoverEps;
+      auto task = singleton_candidate_positions(s, q, i, eopt);
+      for (std::size_t j : grid.query_radius(oi, 2.0 * s.charger_type(q).d_max)) {
+        if (j <= i) continue;
+        for (Vec2 p : pair_candidate_positions(s, q, i, j, eopt)) {
+          task.push_back(p);
+        }
+      }
+      double reach = 0.0;
+      for (Vec2 p : task) reach = std::max(reach, geom::distance(p, oi));
+      hood.fetch(grid, oi, reach, range);
+      sweep.bind(hood.points());
+      for (const Vec2 p : task) {
+        ASSERT_TRUE(s.position_feasible(p));
+        hood.within(p, range);
+        arena.clear();
+        sweep.run(q, p, hood.local(), arena);
+        std::vector<Candidate> got;
+        for (std::size_t r = 0; r < arena.size(); ++r) {
+          got.push_back(arena.candidate(r, hood.points()));
+        }
+        const auto want =
+            extract_point_case(s, q, p, grid.query_radius(p, range));
+        ASSERT_EQ(first_difference(got, want), "") << "pos " << p;
+        ++positions;
+        nonempty += want.empty() ? 0 : 1;
+      }
+    }
+  }
+  EXPECT_GT(positions, 100u);
+  EXPECT_GT(nonempty, positions / 2);
 }
 
 TEST(OrientableCovers, FiltersByDistanceAndReceiver) {
